@@ -386,4 +386,13 @@ fn served_job_is_byte_identical_to_batch_and_repeat_hits_the_cache() {
     // telemetry reads never mutate artifact state.
     let (_, again) = get(&addr, "/metrics?job=1");
     assert_eq!(again, batch("metrics.json"));
+
+    // A hostile job body — ~200 KB of nested `[` — is a 400, not a stack
+    // overflow that takes the gateway down; it still serves afterwards.
+    let (status, body) = http(&addr, "POST", "/jobs", &[b'['; 200_000]);
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    assert!(String::from_utf8_lossy(&body).contains("nesting"));
+    let (status, after) = get(&addr, "/metrics?job=1");
+    assert_eq!(status, 200);
+    assert_eq!(after, batch("metrics.json"));
 }
