@@ -129,7 +129,10 @@ fn try_spawn_coordinator(
 /// Spawn the coordinator on an ephemeral port; the rest of stdout keeps
 /// draining on a side thread so the pipe can never fill up and stall
 /// the run.
-fn spawn_coordinator(dir: &Path, extra: &[&str]) -> (Child, String, std::thread::JoinHandle<String>) {
+fn spawn_coordinator(
+    dir: &Path,
+    extra: &[&str],
+) -> (Child, String, std::thread::JoinHandle<String>) {
     try_spawn_coordinator(dir, "127.0.0.1:0", extra).expect("spawn coordinator")
 }
 
@@ -320,7 +323,9 @@ fn killed_coordinator_resumes_byte_identical() {
         .expect("spawn chaosnet");
     let mut chaos_lines = BufReader::new(chaos.stdout.take().expect("chaosnet stdout"));
     let mut chaos_banner = String::new();
-    chaos_lines.read_line(&mut chaos_banner).expect("chaosnet banner");
+    chaos_lines
+        .read_line(&mut chaos_banner)
+        .expect("chaosnet banner");
     let proxy_addr = chaos_banner
         .trim()
         .strip_prefix("bb-chaosnet listening on ")
@@ -390,7 +395,11 @@ fn killed_coordinator_resumes_byte_identical() {
     let status = wait_with_deadline(&mut direct, "direct worker", Duration::from_secs(60));
     assert_eq!(status.code(), Some(0), "the direct worker exits cleanly");
     let status = wait_with_deadline(&mut flaky, "flaky-link worker", Duration::from_secs(60));
-    assert_eq!(status.code(), Some(0), "the flaky-link worker exits cleanly");
+    assert_eq!(
+        status.code(),
+        Some(0),
+        "the flaky-link worker exits cleanly"
+    );
     let _ = chaos.kill();
     let _ = chaos.wait();
 
