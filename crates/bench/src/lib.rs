@@ -10,6 +10,7 @@
 use bb_dataset::{Dataset, World, WorldConfig};
 use std::sync::OnceLock;
 
+pub mod artifacts;
 pub mod federation;
 
 /// The master seed of the reproduction: every published number in

@@ -511,3 +511,56 @@ fn ledger_with_resume_matches_cold_ledger_and_sidecar_reports_checkpoint() {
     assert!(sidecar.contains("\"checkpoint\""), "{sidecar}");
     assert!(sidecar.contains("\"skipped\": 4"), "{sidecar}");
 }
+
+/// The `--users` checkpoint identity is the streaming job's, and
+/// `--scale` is not part of that job: a run crashed under `--scale 7`
+/// resumes without it, restores every committed shard, and matches the
+/// cold run byte for byte.
+#[test]
+fn streaming_resume_ignores_scale() {
+    let dir = tmpdir("ckpt-cli-scale");
+    let base = [
+        "--users", "300", "--days", "1", "--fcc", "20", "--quiet", "--shards", "4",
+    ];
+
+    let mut args: Vec<&str> = base.to_vec();
+    args.extend(["--out", "cold", "--metrics", "cold-metrics.json"]);
+    args.extend(["--ledger", "cold-ledger.jsonl"]);
+    let cold = reproduce(&args, &dir);
+    assert_eq!(cold.status.code(), Some(0));
+
+    let mut args: Vec<&str> = base.to_vec();
+    args.extend(["--scale", "7", "--out", "warm", "--checkpoint", "ck"]);
+    args.extend(["--fail-after-shard", "2"]);
+    let out = reproduce(&args, &dir);
+    assert_eq!(out.status.code(), Some(FAIL_AFTER_EXIT));
+
+    let mut args: Vec<&str> = base.to_vec();
+    args.extend(["--out", "warm", "--checkpoint", "ck", "--resume"]);
+    args.extend([
+        "--metrics",
+        "warm-metrics.json",
+        "--ledger",
+        "warm-ledger.jsonl",
+    ]);
+    let warm = reproduce(&args, &dir);
+    assert_eq!(
+        warm.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&warm.stderr)
+    );
+    let status = status_json(&dir, "ck");
+    assert_eq!(counter(&status, "checkpoint.skipped"), 2, "{status}");
+    assert_eq!(counter(&status, "checkpoint.rejected"), 0, "{status}");
+    assert_eq!(
+        read(&dir, "cold-metrics.json"),
+        read(&dir, "warm-metrics.json")
+    );
+    assert_eq!(
+        read(&dir, "cold-ledger.jsonl"),
+        read(&dir, "warm-ledger.jsonl")
+    );
+    assert_trees_identical(&dir.join("cold"), &dir.join("warm"));
+    assert_eq!(cold.stdout, warm.stdout);
+}

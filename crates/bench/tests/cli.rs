@@ -50,6 +50,12 @@ fn bad_arguments_exit_2_with_usage_not_a_panic() {
         &["--chaos", "omnibus", "--severity", "-inf"],      // non-finite severity
         &["--chaos", "omnibus", "--severity", "1e999"],     // f64-overflowing severity
         &["--chaos-sweep", "--users", "100"],               // sweep needs full battery
+        &["--users", "18446744073709551615"],               // user count past 2^53
+        // The coordinator validates its job the same way.
+        &["coordinator", "--users", "0"],
+        &["coordinator", "--users", "18446744073709551615"],
+        &["coordinator", "--chaos", "bogus"],
+        &["coordinator", "--chaos", "omnibus", "--severity", "2"],
     ];
     for args in cases {
         let out = reproduce(args, &dir);

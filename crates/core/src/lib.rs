@@ -29,9 +29,12 @@
 //! * [`stream`] — [`stream::StreamStudy`]: the headline exhibits as
 //!   mergeable streaming sketches, for million-user runs that never
 //!   materialise the panel;
+//! * [`job`] — [`job::StreamJob`]: the validated streaming job every
+//!   driver (batch CLI, gateway, federation) derives its world and
+//!   checkpoint identity from;
 //! * [`robustness`] — seed sweeps: the findings' error bars on themselves;
-//! * [`provenance`] — the streaming run's metrics/ledger assembly, shared
-//!   by the batch CLI and the serve gateway so both emit identical bytes.
+//! * [`provenance`] — the streaming run's metrics counters and ledger
+//!   events, assembled for every driver by `bb_report::bundle`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +43,7 @@ pub mod confounders;
 pub mod exhibit;
 pub mod ext;
 pub mod full;
+pub mod job;
 pub mod provenance;
 pub mod robustness;
 pub mod sec2;
@@ -52,4 +56,5 @@ pub mod stream;
 
 pub use exhibit::{BarFigure, BinnedFigure, CdfFigure, ExperimentTable};
 pub use full::StudyReport;
+pub use job::StreamJob;
 pub use stream::StreamStudy;

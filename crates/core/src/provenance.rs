@@ -1,13 +1,13 @@
 //! Shared provenance assembly for the streaming study.
 //!
-//! The `reproduce --users` batch path and the `bb-serve` job runner must
-//! produce **byte-identical** metrics and ledgers for the same
-//! `(seed, users, chaos)` request — that guarantee is only cheap to keep
-//! if both call the same code. This module owns the two pieces that used
-//! to live inline in the CLI: registering the study-level counters in
-//! the plan-invariant [`Registry`], and emitting the streaming run's
-//! ledger events in their pinned order (`stream_study`, `data_quality`,
-//! then one `exhibit` event per Fig. 1/Fig. 7 panel).
+//! `reproduce --users`, the `bb-serve` job runner and the federation
+//! coordinator must produce **byte-identical** metrics and ledgers for
+//! the same job, so all three reach this module through one call site,
+//! `bb_report::bundle::stream_artifacts`. It owns the two pieces:
+//! registering the study-level counters in the plan-invariant
+//! [`Registry`], and emitting the streaming run's ledger events in their
+//! pinned order (`stream_study`, `data_quality`, then one `exhibit`
+//! event per Fig. 1/Fig. 7 panel).
 
 use crate::stream::StreamStudy;
 use bb_trace::{EventLog, Registry};

@@ -207,25 +207,32 @@ impl From<std::io::Error> for CheckpointError {
 }
 
 /// A checkpoint directory plus the parameters that identify the run.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
     params: CheckpointParams,
 }
 
-/// Outcome of validating an existing manifest on resume.
-///
-/// Public so callers that persist *pre-encoded* shard bodies through
-/// [`CheckpointStore::save_shard_text`] (the federation coordinator)
-/// can drive the same resume protocol as [`run_sharded_checkpointed`].
+/// The commit half of a checkpointed run, returned by
+/// [`CheckpointStore::restore`]: each freshly computed shard becomes a
+/// durable shard file, then the manifest is rewritten to list it.
 #[derive(Debug)]
-pub enum ResumeManifest {
-    /// No manifest file — a genuinely cold start, nothing to reject.
-    Missing,
-    /// Manifest exists but is unusable; the reason explains why.
-    Rejected(String),
-    /// Manifest matches this run: shard index → expected digest.
-    Valid(BTreeMap<usize, u64>),
+pub struct ShardCommits {
+    store: CheckpointStore,
+    n_items: u64,
+    n_shards: usize,
+    done: Mutex<BTreeMap<usize, u64>>,
+}
+
+impl ShardCommits {
+    /// Durably commit shard `index`, given as a complete [`Snapshot`]
+    /// encoding ending in a newline.
+    pub fn commit(&self, index: usize, snapshot_text: &str) -> Result<(), CheckpointError> {
+        let digest = self.store.save_shard_text(index, snapshot_text)?;
+        let mut done = self.done.lock().expect("checkpoint state poisoned");
+        done.insert(index, digest);
+        self.store.save_manifest(self.n_items, self.n_shards, &done)
+    }
 }
 
 impl CheckpointStore {
@@ -279,7 +286,7 @@ impl CheckpointStore {
 
     /// Atomically (re)write the manifest listing `done` shard digests for
     /// a run over `n_items` items split into `n_shards` shards.
-    pub fn save_manifest(
+    fn save_manifest(
         &self,
         n_items: u64,
         n_shards: usize,
@@ -288,18 +295,14 @@ impl CheckpointStore {
         self.write_atomic("manifest", &self.manifest_text(n_items, n_shards, done))
     }
 
-    /// Validate the existing manifest against this run's identity.
-    pub fn load_manifest(&self, n_items: u64, n_shards: usize) -> ResumeManifest {
-        let content = match fs::read_to_string(self.manifest_path()) {
-            Ok(content) => content,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-                return ResumeManifest::Missing
-            }
-            Err(err) => return ResumeManifest::Rejected(format!("manifest unreadable: {err}")),
-        };
-        match self.parse_manifest(&content, n_items, n_shards) {
-            Ok(done) => ResumeManifest::Valid(done),
-            Err(reason) => ResumeManifest::Rejected(reason),
+    /// Validate the existing manifest against this run's identity and
+    /// return its shard index → digest list. No manifest at all is a
+    /// genuinely cold start: an empty list, nothing to reject.
+    fn load_manifest(&self, n_items: u64, n_shards: usize) -> Result<BTreeMap<usize, u64>, String> {
+        match fs::read_to_string(self.manifest_path()) {
+            Ok(content) => self.parse_manifest(&content, n_items, n_shards),
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(BTreeMap::new()),
+            Err(err) => Err(format!("manifest unreadable: {err}")),
         }
     }
 
@@ -379,13 +382,8 @@ impl CheckpointStore {
     /// Persist `snapshot_text` (a complete [`Snapshot`] encoding, ending
     /// in a newline) as shard `index` with the usual header, checksum and
     /// atomic rename. Returns the file's body digest — the value the
-    /// manifest must pin for this shard. Byte-identical to the file a
-    /// typed [`run_sharded_checkpointed`] commit would have produced.
-    pub fn save_shard_text(
-        &self,
-        index: usize,
-        snapshot_text: &str,
-    ) -> Result<u64, CheckpointError> {
+    /// manifest must pin for this shard.
+    fn save_shard_text(&self, index: usize, snapshot_text: &str) -> Result<u64, CheckpointError> {
         let mut body = String::new();
         body.push_str("bb-checkpoint-shard v1\n");
         body.push_str(&format!("format {FORMAT_VERSION}\n"));
@@ -404,10 +402,9 @@ impl CheckpointStore {
 
     /// Load shard `index` as raw snapshot text (header stripped),
     /// verifying the file's own checksum and the digest the manifest
-    /// promised for it. Callers that need a typed value decode the text
-    /// themselves; validation failures degrade to recomputation, so the
-    /// error is a reason string, not a [`CheckpointError`].
-    pub fn load_shard_text(&self, index: usize, expected_digest: u64) -> Result<String, String> {
+    /// promised for it. Validation failures degrade to recomputation, so
+    /// the error is a reason string, not a [`CheckpointError`].
+    fn load_shard_text(&self, index: usize, expected_digest: u64) -> Result<String, String> {
         let path = self.shard_path(index);
         let content = fs::read_to_string(&path)
             .map_err(|err| format!("shard {index}: unreadable ({err})"))?;
@@ -449,19 +446,69 @@ impl CheckpointStore {
         Ok(rest.to_string())
     }
 
-    fn write_shard<A: Snapshot>(&self, index: usize, partial: &A) -> Result<u64, CheckpointError> {
-        self.save_shard_text(index, &partial.to_snapshot_string())
+    /// The restore half of a checkpointed run over `n_items` items in
+    /// `n_shards` shards. Creates the directory; with `resume`, restores
+    /// every committed shard that passes its digest check and `decode`
+    /// (a failure rejects that shard alone, a mismatched manifest the
+    /// whole checkpoint — both counted in the report and recomputed).
+    /// The manifest is then rewritten up front, so a fresh run truncates
+    /// a stale done-list and a resume drops rejected entries. Returns
+    /// the restored partials by shard index, the report (`recomputed` =
+    /// the shards still to compute), and the commit half for the rest.
+    #[allow(clippy::type_complexity)]
+    pub fn restore<A>(
+        &self,
+        n_items: u64,
+        n_shards: usize,
+        resume: bool,
+        decode: impl Fn(usize, &str) -> Result<A, String>,
+    ) -> Result<(Vec<Option<A>>, CheckpointReport, ShardCommits), CheckpointError> {
+        fs::create_dir_all(&self.dir)?;
+        let mut report = CheckpointReport::default();
+        let mut restored: Vec<Option<A>> = (0..n_shards).map(|_| None).collect();
+        let mut done = BTreeMap::new();
+        let entries = if resume {
+            self.load_manifest(n_items, n_shards)
+        } else {
+            Ok(BTreeMap::new())
+        };
+        let entries = entries.unwrap_or_else(|reason| {
+            report.rejected += 1;
+            report.reasons.push(reason);
+            BTreeMap::new()
+        });
+        for (index, digest) in entries {
+            let text = self.load_shard_text(index, digest);
+            match text.and_then(|text| decode(index, &text)) {
+                Ok(partial) => {
+                    restored[index] = Some(partial);
+                    done.insert(index, digest);
+                    report.skipped += 1;
+                }
+                Err(reason) => {
+                    report.rejected += 1;
+                    report.reasons.push(reason);
+                }
+            }
+        }
+        report.recomputed = n_shards as u64 - report.skipped;
+        self.save_manifest(n_items, n_shards, &done)?;
+        let commits = ShardCommits {
+            store: self.clone(),
+            n_items,
+            n_shards,
+            done: Mutex::new(done),
+        };
+        Ok((restored, report, commits))
     }
+}
 
-    /// Load shard `index`, verifying both the file's own checksum and the
-    /// digest the manifest promised for it.
-    fn load_shard<A: Snapshot>(&self, index: usize, expected_digest: u64) -> Result<A, String> {
-        let text = self.load_shard_text(index, expected_digest)?;
-        let mut r = SnapshotReader::new(&text);
-        let partial = A::read_snapshot(&mut r).map_err(|e| format!("shard {index}: {e}"))?;
-        r.expect_eof().map_err(|e| format!("shard {index}: {e}"))?;
-        Ok(partial)
-    }
+/// Decode shard `index`'s snapshot text as a typed partial.
+fn decode_shard<A: Snapshot>(index: usize, text: &str) -> Result<A, String> {
+    let mut r = SnapshotReader::new(text);
+    let partial = A::read_snapshot(&mut r).map_err(|e| format!("shard {index}: {e}"))?;
+    r.expect_eof().map_err(|e| format!("shard {index}: {e}"))?;
+    Ok(partial)
 }
 
 /// Split `content` into (body, stored checksum) and verify the FNV-1a
@@ -513,40 +560,7 @@ where
 {
     let ranges = plan.ranges(n_items);
     let n_shards = ranges.len();
-    fs::create_dir_all(&store.dir)?;
-
-    let mut report = CheckpointReport::default();
-    let mut preloaded: Vec<Option<A>> = (0..n_shards).map(|_| None).collect();
-    let mut done: BTreeMap<usize, u64> = BTreeMap::new();
-    if resume {
-        match store.load_manifest(n_items, n_shards) {
-            ResumeManifest::Missing => {}
-            ResumeManifest::Rejected(reason) => {
-                report.rejected += 1;
-                report.reasons.push(reason);
-            }
-            ResumeManifest::Valid(entries) => {
-                for (index, digest) in entries {
-                    match store.load_shard::<A>(index, digest) {
-                        Ok(partial) => {
-                            preloaded[index] = Some(partial);
-                            done.insert(index, digest);
-                            report.skipped += 1;
-                        }
-                        Err(reason) => {
-                            report.rejected += 1;
-                            report.reasons.push(reason);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    report.recomputed = n_shards as u64 - report.skipped;
-
-    // Rewrite the manifest up front so a fresh (non-resume) run truncates
-    // any stale done-list and a resume drops rejected entries.
-    store.save_manifest(n_items, n_shards, &done)?;
+    let (preloaded, report, commits) = store.restore(n_items, n_shards, resume, decode_shard)?;
 
     let finished = AtomicU64::new(0);
     if let Some(progress) = hooks.progress {
@@ -563,20 +577,12 @@ where
         finished.store(report.skipped, Ordering::Relaxed);
     }
 
-    let state = Mutex::new(done);
-    let commits = AtomicU64::new(0);
+    let committed = AtomicU64::new(0);
     let observer = |index: usize, partial: &A| -> Result<(), String> {
-        let digest = store
-            .write_shard(index, partial)
+        commits
+            .commit(index, &partial.to_snapshot_string())
             .map_err(|err| err.to_string())?;
-        {
-            let mut done = state.lock().expect("checkpoint state poisoned");
-            done.insert(index, digest);
-            store
-                .save_manifest(n_items, n_shards, &done)
-                .map_err(|err| err.to_string())?;
-        }
-        let committed = commits.fetch_add(1, Ordering::Relaxed) + 1;
+        let committed = committed.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(hook) = hooks.after_commit {
             hook(committed);
         }

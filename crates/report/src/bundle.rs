@@ -1,20 +1,46 @@
-//! The streaming run's exhibit bundle, as one shared file set.
+//! The streaming run's artifact set, assembled in one place.
 //!
-//! The batch CLI (`reproduce --users U`) and the serve gateway's job
-//! runner both publish the same artifacts for a streaming study: per
-//! Fig. 1/Fig. 7 panel a text render, a CSV, a gnuplot script and a
-//! JSON document; per Fig. 2 panel the same minus the gnuplot script.
-//! Keeping the file list (names, contents, order) in one place is what
-//! makes the serve cache's byte-identity guarantee cheap: both paths
-//! call [`stream_exhibit_files`] and diverge only in where the bytes
-//! land (a directory vs. a cache entry).
+//! `reproduce --users U`, the serve gateway's job runner and the
+//! federation coordinator all publish the same artifacts for a streaming
+//! study: `metrics.json`, `ledger.jsonl`, then per Fig. 1/Fig. 7 panel a
+//! text render, a CSV, a gnuplot script and a JSON document, and per
+//! Fig. 2 panel the same minus the gnuplot script. All three call
+//! [`stream_artifacts`] and differ only in where the bytes land (files
+//! in a directory vs. a cache entry), so byte-identity across drivers
+//! holds by construction.
 
 use crate::{csv, gnuplot, json, markdown, text};
-use bb_study::StreamStudy;
+use bb_study::{provenance, StreamStudy};
+use bb_trace::{EventLog, EventTail, Registry};
 
 /// Render a pretty JSON document, which cannot fail for exhibit trees.
 fn pretty(v: &serde_json::Value) -> String {
     serde_json::to_string_pretty(v).expect("serialise")
+}
+
+/// A streaming run's whole artifact set as `(file name, contents)`
+/// pairs: `metrics.json` (the fold's `registry` plus the study
+/// counters), `ledger.jsonl` (the pinned provenance event order, each
+/// event also handed to `tail` as it is emitted), then
+/// [`stream_exhibit_files`].
+pub fn stream_artifacts(
+    seed: u64,
+    study: &StreamStudy,
+    mut registry: Registry,
+    tail: Option<EventTail>,
+) -> Vec<(String, String)> {
+    provenance::register_stream_metrics(&mut registry, study);
+    let mut ledger = EventLog::new();
+    if let Some(tail) = tail {
+        ledger.set_tail(tail);
+    }
+    provenance::stream_provenance(&mut ledger, seed, study, &registry);
+    let mut files = vec![
+        ("metrics.json".to_string(), registry.to_json()),
+        ("ledger.jsonl".to_string(), ledger.to_jsonl()),
+    ];
+    files.extend(stream_exhibit_files(study));
+    files
 }
 
 /// The full streaming exhibit bundle as `(file name, contents)` pairs,
@@ -38,33 +64,17 @@ pub fn stream_exhibit_files(study: &StreamStudy) -> Vec<(String, String)> {
     files
 }
 
-/// The exhibit ids the streaming bundle can serve, in bundle order.
-pub fn stream_exhibit_ids(study: &StreamStudy) -> Vec<String> {
-    study
-        .figure1()
-        .iter()
-        .chain(study.figure7().iter())
-        .map(|f| f.id.clone())
-        .chain(study.figure2().iter().map(|f| f.id.clone()))
-        .collect()
-}
-
-/// One exhibit as Markdown, or `None` for an unknown id. The gateway's
-/// `GET /exhibits/{id}` uses this for its human-readable content type.
-pub fn stream_exhibit_markdown(study: &StreamStudy, id: &str) -> Option<String> {
-    if let Some(f) = study
-        .figure1()
-        .iter()
-        .chain(study.figure7().iter())
-        .find(|f| f.id == id)
-    {
-        return Some(markdown::cdf_figure(f));
+/// Every streaming exhibit as Markdown (`{id}.md`), in bundle order:
+/// the human-readable render the gateway serves at `GET /exhibits/{id}`.
+pub fn stream_exhibit_markdown(study: &StreamStudy) -> Vec<(String, String)> {
+    let cdfs = study.figure1().into_iter().chain(study.figure7());
+    let mut files: Vec<(String, String)> = cdfs
+        .map(|f| (format!("{}.md", f.id), markdown::cdf_figure(&f)))
+        .collect();
+    for f in &study.figure2() {
+        files.push((format!("{}.md", f.id), markdown::binned_figure(f)));
     }
-    study
-        .figure2()
-        .iter()
-        .find(|f| f.id == id)
-        .map(markdown::binned_figure)
+    files
 }
 
 #[cfg(test)]
@@ -74,7 +84,11 @@ mod tests {
     #[test]
     fn bundle_matches_the_id_list_and_file_multiplicity() {
         let study = StreamStudy::new();
-        let ids = stream_exhibit_ids(&study);
+        let markdown = stream_exhibit_markdown(&study);
+        let ids: Vec<&str> = markdown
+            .iter()
+            .filter_map(|(name, _)| name.strip_suffix(".md"))
+            .collect();
         assert_eq!(ids.len(), 9, "fig1a-c, fig7a-b, fig2a-d: {ids:?}");
         let files = stream_exhibit_files(&study);
         // 5 CDF panels × 4 files + 4 binned panels × 3 files.
@@ -82,8 +96,6 @@ mod tests {
         for id in &ids {
             assert!(files.iter().any(|(name, _)| name == &format!("{id}.txt")));
             assert!(files.iter().any(|(name, _)| name == &format!("{id}.json")));
-            assert!(stream_exhibit_markdown(&study, id).is_some());
         }
-        assert!(stream_exhibit_markdown(&study, "fig99").is_none());
     }
 }

@@ -6,6 +6,7 @@
 
 use bb_study::exhibit::{BarFigure, BinnedFigure, CdfFigure, ExperimentTable};
 use bb_study::robustness::{SurvivalMatrix, SweepRow};
+use bb_study::StreamStudy;
 use bb_trace::{Event, EventLog, Value};
 use std::fmt::Write as _;
 
@@ -140,6 +141,39 @@ pub fn binned_figure(f: &BinnedFigure) -> String {
         }
         let _ = writeln!(out);
     }
+    out
+}
+
+/// The streaming scale run's population table (Fig. 1 headline numbers
+/// against the paper's), as `reproduce --users` and the federation
+/// coordinator print it. Empty when the study folded no users.
+pub fn stream_population(study: &StreamStudy) -> String {
+    let Some(stats) = study.population_stats() else {
+        return String::new();
+    };
+    let mut out = String::from("# Streaming scale run\n\n");
+    out.push_str("| quantity | paper | measured |\n|---|---|---|\n");
+    let _ = writeln!(out, "| users streamed | — | {} |", study.users);
+    let _ = writeln!(
+        out,
+        "| median download capacity | 7.4 Mbps | {:.1} Mbps |",
+        stats.median_capacity_mbps
+    );
+    let _ = writeln!(
+        out,
+        "| share below 1 Mbps | ~10% | {:.0}% |",
+        stats.frac_below_1mbps * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "| median latency | ~100 ms | {:.0} ms |",
+        stats.median_latency_ms
+    );
+    let _ = writeln!(
+        out,
+        "| share with loss > 1% | ~14% | {:.1}% |",
+        stats.frac_loss_above_1pct * 100.0
+    );
     out
 }
 

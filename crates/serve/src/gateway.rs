@@ -36,7 +36,7 @@
 //! (`/jobs/{id}`), keeping metric cardinality bounded.
 
 use crate::http::{read_request, write_sse_head, Request, RequestError, Response, ThreadPool};
-use crate::runner::{JobSpec, RunParams};
+use crate::runner::job_from_json;
 use crate::scheduler::Scheduler;
 use crate::sse::Feed;
 use crate::telemetry::ServeTelemetry;
@@ -45,6 +45,7 @@ use bb_engine::ShardPlan;
 use bb_netsim::chaos::ChaosScenario;
 use bb_report::{json as report_json, markdown};
 use bb_study::robustness::{chaos_sweep, SurvivalMatrix};
+use bb_study::StreamJob;
 use bb_trace::telemetry::SystemClock;
 use std::collections::BTreeMap;
 use std::io;
@@ -95,6 +96,8 @@ pub struct ServerConfig {
 struct Inner {
     scheduler: Scheduler,
     config: ServerConfig,
+    /// The job a `POST /jobs` body overrides field by field.
+    default_job: StreamJob,
     telemetry: Arc<ServeTelemetry>,
     /// A feed that never closes, behind `/debug/hold`: a deterministic
     /// way for tests to hold an SSE stream open until the subscriber
@@ -115,20 +118,24 @@ pub struct Server {
 impl Server {
     /// Bind `127.0.0.1:{port}` and start serving.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
+        let default_job = StreamJob::new(
+            config.default_seed,
+            config.default_users,
+            config.days,
+            config.fcc_users,
+            None,
+        )
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
-        let run = RunParams {
-            days: config.days,
-            fcc_users: config.fcc_users,
-            plan: config.plan,
-        };
         let telemetry = Arc::new(ServeTelemetry::new(
             Arc::new(SystemClock::new()),
             config.access_log.as_deref(),
         )?);
         let inner = Arc::new(Inner {
-            scheduler: Scheduler::start(&config.cache_dir, run, Arc::clone(&telemetry)),
+            scheduler: Scheduler::start(&config.cache_dir, config.plan, Arc::clone(&telemetry)),
             config,
+            default_job,
             telemetry,
             hold: Feed::new(),
             survival: Mutex::new(BTreeMap::new()),
@@ -493,11 +500,7 @@ fn version() -> Response {
 }
 
 fn submit_job(inner: &Inner, request: &Request) -> Response {
-    let spec = match JobSpec::from_json(
-        &request.body,
-        inner.config.default_seed,
-        inner.config.default_users,
-    ) {
+    let spec = match job_from_json(&request.body, &inner.default_job) {
         Ok(spec) => spec,
         Err(message) => return Response::bad_request(&message),
     };

@@ -19,8 +19,9 @@
 //!   manifest written last; corruption degrades to recompute, never to
 //!   a wrong answer);
 //! * [`scheduler`] — the job queue and worker;
-//! * [`runner`] — one job = one checkpointed streaming run, assembled
-//!   from the exact code paths the batch CLI uses;
+//! * [`runner`] — one job = one checkpointed streaming run of a
+//!   `bb_study::StreamJob`, assembled from the exact code paths the
+//!   batch CLI and the federation coordinator use;
 //! * [`telemetry`] — the live instrumentation surface: per-route RED
 //!   metrics, gauges, job/cache series, the JSONL access log. Rendered
 //!   at `/metrics.prom` (Prometheus) and `/debug/telemetry` (JSON);
@@ -43,6 +44,5 @@ pub mod telemetry;
 
 pub use cache::ResultCache;
 pub use gateway::{Server, ServerConfig};
-pub use runner::JobSpec;
 pub use scheduler::{JobState, JobView, Scheduler};
 pub use telemetry::ServeTelemetry;

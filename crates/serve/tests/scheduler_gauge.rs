@@ -12,8 +12,8 @@
 //! exactly zero once the queue drains.
 
 use bb_engine::ShardPlan;
-use bb_serve::runner::{JobSpec, RunParams};
 use bb_serve::{Scheduler, ServeTelemetry};
+use bb_study::StreamJob;
 use bb_trace::SystemClock;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -34,11 +34,7 @@ fn queue_depth_gauge_never_goes_negative_and_drains_to_zero() {
         Arc::new(ServeTelemetry::new(Arc::new(SystemClock::new()), None).expect("telemetry"));
     let scheduler = Arc::new(Scheduler::start(
         &dir,
-        RunParams {
-            days: 1,
-            fcc_users: 10,
-            plan: ShardPlan::new(2, 1),
-        },
+        ShardPlan::new(2, 1),
         Arc::clone(&telemetry),
     ));
 
@@ -69,12 +65,7 @@ fn queue_depth_gauge_never_goes_negative_and_drains_to_zero() {
             let scheduler = Arc::clone(&scheduler);
             std::thread::spawn(move || {
                 for _ in 0..JOBS_PER_THREAD {
-                    scheduler.submit(JobSpec {
-                        seed: 20141105,
-                        users: 60,
-                        scenario: None,
-                        severity: 0.0,
-                    });
+                    scheduler.submit(StreamJob::new(20141105, 60, 1, 10, None).unwrap());
                 }
             })
         })
