@@ -42,10 +42,12 @@
 //! aborts with exit code 83 once N shards are durably committed.
 
 use bb_bench::{artifacts, REPRO_SEED};
-use bb_dataset::{World, WorldConfig};
+use bb_dataset::{Dataset, UpgradeObservation, UserRecord, World, WorldConfig};
 use bb_engine::{
-    CheckpointParams, CheckpointReport, CheckpointStore, RunHooks, RunStats, ShardPlan,
+    CheckpointParams, CheckpointReport, CheckpointStore, Mergeable, RunHooks, RunStats, ShardPlan,
+    Snapshot,
 };
+use bb_market::MarketSurvey;
 use bb_netsim::chaos::{ChaosScenario, ChaosSpec};
 use bb_report::{bundle, csv, gnuplot, json, markdown, text};
 use bb_serve::{Server, ServerConfig};
@@ -342,27 +344,18 @@ fn main() {
     let mut timings = Timings::new();
     timings.begin("reproduce");
     timings.begin("generate");
-    let store = checkpoint_store(&args, materialised_params(&args));
-    let fail_hook = fail_after_hook(&args);
-    let hooks = match fail_hook.as_ref() {
-        Some(hook) => RunHooks::on_commit(hook),
-        None => RunHooks::none(),
-    };
-    let (dataset, registry, stats, ckpt) = match &store {
-        Some(store) => match world.generate_with_checkpointed(plan, store, args.resume, hooks) {
-            Ok((dataset, registry, stats, report)) => {
-                report_checkpoint(&args, store, &report);
-                (dataset, registry, stats, Some(report))
-            }
-            Err(e) => {
-                eprintln!("reproduce: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            let (dataset, registry, stats) = world.generate_with_traced(plan);
-            (dataset, registry, stats, None)
-        }
+    let (survey, (records, upgrades), registry, stats, ckpt) = fold_world(
+        &args,
+        &world,
+        plan,
+        materialised_params(&args),
+        Default::default,
+        Dataset::collect,
+    );
+    let dataset = Dataset {
+        records,
+        upgrades,
+        survey,
     };
     timings.end();
     progress!(
@@ -505,38 +498,14 @@ fn run_streaming(args: &Args, plan: ShardPlan, job: &StreamJob) {
     let mut timings = Timings::new();
     timings.begin("reproduce");
     timings.begin("stream");
-    let store = checkpoint_store(args, job.params());
-    let fail_hook = fail_after_hook(args);
-    let hooks = match fail_hook.as_ref() {
-        Some(hook) => RunHooks::on_commit(hook),
-        None => RunHooks::none(),
-    };
-    let (study, registry, stats, ckpt) = match &store {
-        Some(store) => {
-            match world.fold_users_checkpointed(
-                plan,
-                store,
-                args.resume,
-                hooks,
-                StreamStudy::new,
-                |s, r, u| s.absorb(r, u),
-            ) {
-                Ok((_, study, registry, stats, report)) => {
-                    report_checkpoint(args, store, &report);
-                    (study, registry, stats, Some(report))
-                }
-                Err(e) => {
-                    eprintln!("reproduce: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => {
-            let (_, study, registry, stats) =
-                world.fold_users_traced(plan, StreamStudy::new, |s, r, u| s.absorb(r, u));
-            (study, registry, stats, None)
-        }
-    };
+    let (_, study, registry, stats, ckpt) = fold_world(
+        args,
+        &world,
+        plan,
+        job.params(),
+        StreamStudy::new,
+        |s, r, u| s.absorb(r, u),
+    );
     timings.end();
     let elapsed = stats.total;
     progress!(
@@ -1196,9 +1165,50 @@ fn chaos_flags(name: Option<String>, severity: Option<f64>) -> Result<Option<Cha
     StreamJob::parse_chaos(name.as_deref(), severity.unwrap_or(0.5))
 }
 
-/// The `--checkpoint DIR` store of a run identified by `params`.
-fn checkpoint_store(args: &Args, params: CheckpointParams) -> Option<CheckpointStore> {
-    Some(CheckpointStore::new(args.checkpoint.as_ref()?, params))
+/// Fold every user of `world` into `init()` accumulators: through the
+/// `--checkpoint DIR` store of a run identified by `params` (exiting
+/// 1 on a durable-side failure), in memory otherwise. The materialised
+/// and the `--users` runs differ only in the accumulator.
+#[allow(clippy::type_complexity)]
+fn fold_world<A, I, F>(
+    args: &Args,
+    world: &World,
+    plan: ShardPlan,
+    params: CheckpointParams,
+    init: I,
+    absorb: F,
+) -> (
+    MarketSurvey,
+    A,
+    Registry,
+    RunStats,
+    Option<CheckpointReport>,
+)
+where
+    A: Mergeable + Snapshot + Send,
+    I: Fn() -> A + Sync,
+    F: Fn(&mut A, &UserRecord, Option<&UpgradeObservation>) + Sync,
+{
+    let Some(dir) = &args.checkpoint else {
+        let (survey, acc, registry, stats) = world.fold_users_traced(plan, init, absorb);
+        return (survey, acc, registry, stats, None);
+    };
+    let store = CheckpointStore::new(dir, params);
+    let fail_hook = fail_after_hook(args);
+    let hooks = match fail_hook.as_ref() {
+        Some(hook) => RunHooks::on_commit(hook),
+        None => RunHooks::none(),
+    };
+    match world.fold_users_checkpointed(plan, &store, args.resume, hooks, init, absorb) {
+        Ok((survey, acc, registry, stats, report)) => {
+            report_checkpoint(args, &store, &report);
+            (survey, acc, registry, stats, Some(report))
+        }
+        Err(e) => {
+            eprintln!("reproduce: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// The checkpoint identity of a materialised run: everything the

@@ -136,6 +136,19 @@ pub struct Dataset {
 }
 
 impl Dataset {
+    /// The collecting accumulator step that materialises a fold:
+    /// [`World::fold_users`](crate::World::fold_users) with
+    /// `Default::default` and this absorb yields the panel's records and
+    /// upgrades in user-index order, ready to assemble with the survey.
+    pub fn collect(
+        panel: &mut (Vec<UserRecord>, Vec<UpgradeObservation>),
+        record: &UserRecord,
+        upgrade: Option<&UpgradeObservation>,
+    ) {
+        panel.0.push(record.clone());
+        panel.1.extend(upgrade.cloned());
+    }
+
     /// Records from one vantage point.
     pub fn by_vantage(&self, vantage: VantageKind) -> impl Iterator<Item = &UserRecord> {
         self.records.iter().filter(move |r| r.vantage == vantage)

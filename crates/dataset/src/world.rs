@@ -206,29 +206,12 @@ impl World {
     /// function of the world seed, so identical for every plan) and the
     /// [`RunStats`] for this particular execution (wall times and steals
     /// — plan-dependent by nature).
+    ///
+    /// Materialising is a fold: [`World::fold_users_traced`] with the
+    /// [`Dataset::collect`] accumulator.
     pub fn generate_with_traced(&self, plan: ShardPlan) -> (Dataset, Registry, RunStats) {
-        self.generate_with_traced_blocked(plan, GEN_BLOCK_USERS)
-    }
-
-    /// [`World::generate_with_traced`] with an explicit block size — the
-    /// block-size-invariance tests drive this directly.
-    fn generate_with_traced_blocked(
-        &self,
-        plan: ShardPlan,
-        block: u64,
-    ) -> (Dataset, Registry, RunStats) {
-        let (survey, cohorts) = self.build_market();
-        let total = cohorts.last().map_or(0, |c| c.end);
-        let ((records, upgrades, registry), stats) = run_sharded_traced(total, plan, |_, range| {
-            let mut records = Vec::with_capacity((range.end - range.start) as usize);
-            let mut upgrades = Vec::new();
-            let mut reg = Registry::new();
-            self.shard_users_blocked(range, block, &cohorts, &mut reg, &mut |record, upgrade| {
-                records.push(record);
-                upgrades.extend(upgrade);
-            });
-            (records, upgrades, reg)
-        });
+        let (survey, (records, upgrades), registry, stats) =
+            self.fold_users_traced(plan, Default::default, Dataset::collect);
         let dataset = Dataset {
             records,
             upgrades,
@@ -237,11 +220,10 @@ impl World {
         (dataset, registry, stats)
     }
 
-    /// Walk one shard's user range in [`GEN_BLOCK_USERS`]-sized blocks
-    /// (overridable for tests), observing each user with the shard's
-    /// reusable [`GenScratch`] and feeding surviving records to `sink`.
-    /// Quarantined users are skipped here, exactly like the scalar loop
-    /// this replaces.
+    /// Walk one shard's user range in `block`-sized blocks, observing
+    /// each user with the shard's reusable [`GenScratch`] and feeding
+    /// surviving records to `sink`. Quarantined users are skipped here,
+    /// exactly like the scalar loop this replaces.
     fn shard_users_blocked<S>(
         &self,
         range: std::ops::Range<u64>,
@@ -301,7 +283,7 @@ impl World {
         let (survey, cohorts) = self.build_market();
         let total = cohorts.last().map_or(0, |c| c.end);
         let ((folded, registry), stats) = run_sharded_traced(total, plan, |_, range| {
-            self.stream_shard_with(&cohorts, range, &init, &absorb)
+            self.stream_shard_with(&cohorts, range, GEN_BLOCK_USERS, &init, &absorb)
         });
         (survey, folded, registry, stats)
     }
@@ -324,14 +306,18 @@ impl World {
         F: Fn(&mut A, &UserRecord, Option<&UpgradeObservation>),
     {
         let (_, cohorts) = self.build_market();
-        self.stream_shard_with(&cohorts, range, &init, &absorb)
+        self.stream_shard_with(&cohorts, range, GEN_BLOCK_USERS, &init, &absorb)
     }
 
-    /// The shared per-shard body of every streaming fold entry point.
+    /// The per-shard body of every run: streamed or materialised,
+    /// checkpointed or not, in-process or federated. `block` is the
+    /// generation block size ([`GEN_BLOCK_USERS`] outside the
+    /// block-size-invariance tests).
     fn stream_shard_with<A, I, F>(
         &self,
         cohorts: &[Cohort<'_>],
         range: std::ops::Range<u64>,
+        block: u64,
         init: &I,
         absorb: &F,
     ) -> (A, Registry)
@@ -341,71 +327,28 @@ impl World {
     {
         let mut acc = init();
         let mut reg = Registry::new();
-        self.shard_users_blocked(
-            range,
-            GEN_BLOCK_USERS,
-            cohorts,
-            &mut reg,
-            &mut |record, upgrade| {
-                absorb(&mut acc, &record, upgrade.as_ref());
-            },
-        );
+        self.shard_users_blocked(range, block, cohorts, &mut reg, &mut |record, upgrade| {
+            absorb(&mut acc, &record, upgrade.as_ref());
+        });
         (acc, reg)
     }
 
-    /// [`World::generate_with_traced`] with durable per-shard
-    /// checkpoints: each completed shard's
-    /// `(records, upgrades, registry)` partial is committed to `store`
-    /// before the next merge, and with `resume` a later run restores the
-    /// committed partials instead of recomputing them. The merged dataset
-    /// and registry are byte-identical to a cold run — restored shards
-    /// fold in the same shard order as computed ones — while the
-    /// [`CheckpointReport`] tallies what this particular run skipped,
-    /// recomputed, and rejected.
+    /// [`World::fold_users_traced`] with durable per-shard checkpoints:
+    /// each completed shard's `(accumulator, registry)` partial is
+    /// committed to `store` before the next merge, and with `resume` a
+    /// later run restores the committed partials instead of recomputing
+    /// them. The merged accumulator and registry are byte-identical to a
+    /// cold run — restored shards fold in the same shard order as
+    /// computed ones — while the [`CheckpointReport`] tallies what this
+    /// particular run skipped, recomputed, and rejected. The accumulator
+    /// must be [`Snapshot`] so completed partials can be frozen to disk
+    /// and restored bit-exactly; with the [`Dataset::collect`]
+    /// accumulator this is the checkpointed materialised run.
     ///
     /// `hooks.after_commit` (if given) observes the running count of
     /// durably committed shards — the crash-injection test hook in
     /// `reproduce` aborts from it — and `hooks.progress` observes every
     /// finished shard (the serve gateway streams it as SSE).
-    #[allow(clippy::type_complexity)]
-    pub fn generate_with_checkpointed(
-        &self,
-        plan: ShardPlan,
-        store: &CheckpointStore,
-        resume: bool,
-        hooks: RunHooks<'_>,
-    ) -> Result<(Dataset, Registry, RunStats, CheckpointReport), CheckpointError> {
-        let (survey, cohorts) = self.build_market();
-        let total = cohorts.last().map_or(0, |c| c.end);
-        let ((records, upgrades, registry), stats, report) =
-            run_sharded_checkpointed(total, plan, store, resume, hooks, |_, range| {
-                let mut records = Vec::with_capacity((range.end - range.start) as usize);
-                let mut upgrades = Vec::new();
-                let mut reg = Registry::new();
-                self.shard_users_blocked(
-                    range,
-                    GEN_BLOCK_USERS,
-                    &cohorts,
-                    &mut reg,
-                    &mut |record, upgrade| {
-                        records.push(record);
-                        upgrades.extend(upgrade);
-                    },
-                );
-                (records, upgrades, reg)
-            })?;
-        let dataset = Dataset {
-            records,
-            upgrades,
-            survey,
-        };
-        Ok((dataset, registry, stats, report))
-    }
-
-    /// [`World::fold_users_traced`] with durable per-shard checkpoints
-    /// (see [`World::generate_with_checkpointed`] for the recovery
-    /// contract). The accumulator must be [`Snapshot`] so completed
-    /// partials can be frozen to disk and restored bit-exactly.
     #[allow(clippy::type_complexity)]
     pub fn fold_users_checkpointed<A, I, F>(
         &self,
@@ -425,7 +368,7 @@ impl World {
         let total = cohorts.last().map_or(0, |c| c.end);
         let ((folded, registry), stats, report) =
             run_sharded_checkpointed(total, plan, store, resume, hooks, |_, range| {
-                self.stream_shard_with(&cohorts, range, &init, &absorb)
+                self.stream_shard_with(&cohorts, range, GEN_BLOCK_USERS, &init, &absorb)
             })?;
         Ok((survey, folded, registry, stats, report))
     }
@@ -1027,6 +970,22 @@ mod tests {
         }
     }
 
+    /// The materialising fold driven through the private per-shard core
+    /// with an explicit generation block size.
+    fn generate_blocked(world: &World, plan: ShardPlan, block: u64) -> (Dataset, Registry) {
+        let (survey, cohorts) = world.build_market();
+        let total = cohorts.last().map_or(0, |c| c.end);
+        let (((records, upgrades), registry), _) = run_sharded_traced(total, plan, |_, range| {
+            world.stream_shard_with(&cohorts, range, block, &Default::default, &Dataset::collect)
+        });
+        let dataset = Dataset {
+            records,
+            upgrades,
+            survey,
+        };
+        (dataset, registry)
+    }
+
     #[test]
     fn generation_is_block_size_invariant() {
         // The block size is pure batching bookkeeping: whatever mix of
@@ -1044,13 +1003,13 @@ mod tests {
             cfg.days = 2;
             cfg.chaos = chaos;
             let world = World::with_countries(cfg, &["US", "JP", "BW", "SA", "IN"]);
-            let (baseline, base_reg, _) =
-                world.generate_with_traced_blocked(ShardPlan::serial(), GEN_BLOCK_USERS);
+            let (baseline, base_reg) =
+                generate_blocked(&world, ShardPlan::serial(), GEN_BLOCK_USERS);
             // Block of 1 degenerates to the scalar per-user walk; 7 puts
             // block boundaries at odd offsets inside every cohort.
             for block in [1u64, 7, 64] {
                 for plan in [ShardPlan::serial(), ShardPlan::new(8, 4)] {
-                    let (ds, reg, _) = world.generate_with_traced_blocked(plan, block);
+                    let (ds, reg) = generate_blocked(&world, plan, block);
                     let label = format!("block {block} plan {plan:?} chaos {}", chaos.is_some());
                     assert_same_dataset(&baseline, &ds, &label);
                     assert_eq!(reg.to_json(), base_reg.to_json(), "{label}");
@@ -1120,11 +1079,10 @@ mod tests {
         one_cfg.days = 1;
         let one = World::with_countries(one_cfg, &["JP"]);
         assert_eq!(one.n_users(), 1);
-        let (baseline, base_reg, _) =
-            one.generate_with_traced_blocked(ShardPlan::serial(), GEN_BLOCK_USERS);
+        let (baseline, base_reg) = generate_blocked(&one, ShardPlan::serial(), GEN_BLOCK_USERS);
         assert!(baseline.records.len() <= 1);
         for block in [1u64, 2, 256] {
-            let (ds, reg, _) = one.generate_with_traced_blocked(ShardPlan::new(2, 2), block);
+            let (ds, reg) = generate_blocked(&one, ShardPlan::new(2, 2), block);
             assert_same_dataset(&baseline, &ds, &format!("single-user block {block}"));
             assert_eq!(reg.to_json(), base_reg.to_json());
         }
@@ -1332,6 +1290,73 @@ mod tests {
         assert_eq!(cap_sum, direct, "same records in the same order");
         assert_eq!(survey.len(), full.survey.len());
         assert_eq!(world.n_users() as usize, full.records.len());
+    }
+
+    #[test]
+    fn pre_fold_materialised_checkpoints_are_rejected_and_recomputed() {
+        // Before materialising became a fold, a checkpointed materialised
+        // shard was the flat `(records, upgrades, registry)` Tuple3. The
+        // fold commits `((records, upgrades), registry)`; an old shard
+        // must be rejected with a reason and recomputed, never misread.
+        use bb_engine::CheckpointParams;
+        let mut cfg = WorldConfig::small(7);
+        cfg.user_scale = 0.4;
+        cfg.fcc_users = 20;
+        cfg.days = 2;
+        let world = World::with_countries(cfg, &["US", "JP", "BW", "SA", "IN"]);
+        let dir = std::env::temp_dir().join(format!("bb-world-tuple3-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir, CheckpointParams::new().set("seed", 7));
+        let plan = ShardPlan::new(4, 2);
+        let (_, cohorts) = world.build_market();
+        let total = cohorts.last().map_or(0, |c| c.end);
+        run_sharded_checkpointed(total, plan, &store, false, RunHooks::none(), |_, range| {
+            let ((records, upgrades), reg) = world.stream_shard_with(
+                &cohorts,
+                range,
+                GEN_BLOCK_USERS,
+                &Default::default,
+                &Dataset::collect,
+            );
+            (records, upgrades, reg)
+        })
+        .unwrap();
+
+        let resume = || {
+            world
+                .fold_users_checkpointed(
+                    plan,
+                    &store,
+                    true,
+                    RunHooks::none(),
+                    Default::default,
+                    Dataset::collect,
+                )
+                .unwrap()
+        };
+        let (survey, (records, upgrades), registry, _, report) = resume();
+        assert_eq!(
+            (report.skipped, report.recomputed, report.rejected),
+            (0, 4, 4)
+        );
+        assert!(
+            report.reasons.iter().all(|r| r.contains("Tuple3")),
+            "{:?}",
+            report.reasons
+        );
+        let (cold, cold_reg, _) = world.generate_with_traced(plan);
+        let resumed = Dataset {
+            records,
+            upgrades,
+            survey,
+        };
+        assert_same_dataset(&cold, &resumed, "recomputed");
+        assert_eq!(registry.to_json(), cold_reg.to_json());
+
+        // The recomputed shards are now in the fold's layout.
+        let (_, _, _, _, report) = resume();
+        assert_eq!((report.skipped, report.rejected), (4, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,15 +16,14 @@
 
 use crate::chaos::{ChaosPlan, RawPoll};
 use crate::counters::{
-    max_plausible_bytes, upnp_delta_stats, upnp_deltas_stats, DeltaStats, NetstatCounter,
-    UpnpCounter,
+    max_plausible_bytes, upnp_delta_stats, DeltaStats, NetstatCounter, UpnpCounter,
 };
 use crate::workload::GroundTruth;
 use bb_stats::descriptive::quantile_unstable;
 use bb_trace::{Log2Histogram, Registry};
 use bb_types::time::{diurnal_multiplier, SLOTS_PER_HOUR};
 use bb_types::{Bandwidth, DemandSummary, SLOT_SECS};
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Reusable buffers for the batched collection hot path. One instance per
 /// shard (or per thread) amortises every per-user allocation the scalar
@@ -181,100 +180,40 @@ impl UsageSeries {
     /// reconstructing per-interval deltas — including the UPnP 32-bit
     /// wraparound handling. Deltas spanning more than `MAX_GAP_SLOTS`
     /// offline slots are discarded as stale, as the collection pipeline
-    /// does for clients that were away.
-    pub fn collect_via_counters<R: Rng + ?Sized>(
-        truth: &GroundTruth,
-        uptime: f64,
-        source: CounterSource,
-        link_capacity: Bandwidth,
-        rng: &mut R,
-    ) -> Self {
-        let mut scratch = Registry::new();
-        Self::collect_via_counters_traced(truth, uptime, source, link_capacity, rng, &mut scratch)
-    }
-
-    /// [`UsageSeries::collect_via_counters`], additionally counting how
-    /// often each recovery heuristic fired into `reg`:
+    /// does for clients that were away. `scratch` holds the poll and
+    /// acceptance-draw buffers, reused across calls by the world
+    /// generator's batched hot path.
+    ///
+    /// How often each recovery heuristic fired is counted into `reg`:
     /// `netsim.collect.polls` / `stale_dropped` / `merged_intervals`, the
     /// `netsim.collect.gap_slots` histogram, and (for UPnP sources)
-    /// `netsim.upnp.wraps` / `resets` / `reset_clamped`.
+    /// `netsim.upnp.wraps` / `resets` / `reset_clamped`. All of these are
+    /// data events — pure functions of `(truth, rng)` — so registries
+    /// accumulated per user merge plan-invariantly. Events are tallied in
+    /// locals and flushed to `reg` once per call to keep the per-poll
+    /// loop free of map lookups.
     ///
-    /// All of these are data events — pure functions of `(truth, rng)` —
-    /// so registries accumulated per user merge plan-invariantly. Events
-    /// are tallied in locals and flushed to `reg` once per call to keep
-    /// the per-poll loop free of map lookups.
-    pub fn collect_via_counters_traced<R: Rng + ?Sized>(
-        truth: &GroundTruth,
-        uptime: f64,
-        source: CounterSource,
-        link_capacity: Bandwidth,
-        rng: &mut R,
-        reg: &mut Registry,
-    ) -> Self {
-        // `ChaosPlan::NONE` draws nothing, so the chaos RNG seed is inert.
-        let mut inert = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-        Self::collect_via_counters_chaos(
-            truth,
-            uptime,
-            source,
-            link_capacity,
-            &ChaosPlan::NONE,
-            rng,
-            &mut inert,
-            reg,
-        )
-    }
-
-    /// [`UsageSeries::collect_via_counters_traced`] with a degradation
-    /// plan applied to the raw poll sequence before delta
-    /// reconstruction.
-    ///
-    /// Chaos draws come from the *dedicated* `chaos_rng`, never from the
-    /// main `rng`, and a [`ChaosPlan::NONE`] plan draws nothing — so the
-    /// severity-0 chaos path is bit-identical to the fault-free one.
+    /// `chaos` degrades the raw poll sequence before delta
+    /// reconstruction. Chaos draws come from the *dedicated* `chaos_rng`,
+    /// never from the main `rng`, and a [`ChaosPlan::NONE`] plan draws
+    /// nothing — so the severity-0 chaos path is bit-identical to the
+    /// fault-free one, and with `NONE` the `chaos_rng` seed is inert.
     /// Reconstruction is hardened against whatever the plan produces:
     /// out-of-order polls (`netsim.collect.out_of_order_dropped`) and
     /// duplicate timestamps (`netsim.collect.duplicate_dropped`) are
     /// counted and skipped rather than panicking or emitting NaN bins,
     /// and BitTorrent-flag lookups clamp slot indices that clock skew
     /// pushed past the observation window.
-    #[allow(clippy::too_many_arguments)]
-    pub fn collect_via_counters_chaos<R: Rng + ?Sized, C: Rng + ?Sized>(
-        truth: &GroundTruth,
-        uptime: f64,
-        source: CounterSource,
-        link_capacity: Bandwidth,
-        chaos: &ChaosPlan,
-        rng: &mut R,
-        chaos_rng: &mut C,
-        reg: &mut Registry,
-    ) -> Self {
-        let mut scratch = CollectScratch::new();
-        Self::collect_via_counters_chaos_with(
-            truth,
-            uptime,
-            source,
-            link_capacity,
-            chaos,
-            rng,
-            chaos_rng,
-            reg,
-            &mut scratch,
-        )
-    }
-
-    /// [`UsageSeries::collect_via_counters_chaos`] with caller-provided
-    /// scratch buffers — the batched hot path the world generator drives.
     ///
-    /// The result is **bit-identical** to the scalar reference
-    /// ([`UsageSeries::collect_via_counters_chaos_reference`]) for every
-    /// input: acceptance draws come from the same word stream (filled a
-    /// ChaCha block at a time instead of one `gen::<f64>()` per slot),
-    /// the per-hour acceptance probabilities are the same 24 values the
-    /// scalar path recomputes per slot, and the UPnP delta decode walks
-    /// the contiguous poll buffer pair-by-pair with the allocation-free
-    /// [`upnp_delta_stats`] instead of materialising a two-read slice
-    /// and a one-delta `Vec` per poll pair.
+    /// The result is **bit-identical** to the scalar reference kept in
+    /// the unit tests for every input: acceptance draws come from the
+    /// same word stream (filled a ChaCha block at a time instead of one
+    /// `gen::<f64>()` per slot), the per-hour acceptance probabilities
+    /// are the same 24 values the scalar path recomputes per slot, and
+    /// the UPnP delta decode walks the contiguous poll buffer
+    /// pair-by-pair with the allocation-free [`upnp_delta_stats`]
+    /// instead of materialising a two-read slice and a one-delta `Vec`
+    /// per poll pair.
     #[allow(clippy::too_many_arguments)]
     pub fn collect_via_counters_chaos_with<R: Rng + ?Sized, C: Rng + ?Sized>(
         truth: &GroundTruth,
@@ -458,13 +397,143 @@ impl UsageSeries {
         }
     }
 
+    /// Number of observed bins.
+    pub fn len(&self) -> usize {
+        self.bins.len()
+    }
+
+    /// True when nothing was observed (client never online).
+    pub fn is_empty(&self) -> bool {
+        self.bins.is_empty()
+    }
+
+    /// Whether any observed bin is BitTorrent-flagged. When none are,
+    /// the BT-excluding filter keeps every bin, so the BT-excluded
+    /// demand summary equals the BT-included one exactly — callers can
+    /// skip the second pass.
+    pub fn any_bt(&self) -> bool {
+        self.bins.iter().any(|b| b.bt)
+    }
+
+    /// Per-bin downlink rates (bps) after applying the BitTorrent filter.
+    pub fn rates(&self, filter: BtFilter) -> Vec<f64> {
+        let secs = self.width.secs();
+        self.bins
+            .iter()
+            .filter(|b| filter == BtFilter::Include || !b.bt)
+            .map(|b| b.down_bytes * 8.0 / secs)
+            .collect()
+    }
+
+    /// Mean uplink rate over observed bins, after the BitTorrent filter.
+    ///
+    /// Computed streaming — a running sum in filter order is exactly the
+    /// `Vec`-collect-then-sum of the seed implementation, minus the
+    /// allocation.
+    pub fn upload_mean(&self, filter: BtFilter) -> Option<Bandwidth> {
+        let secs = self.width.secs();
+        let mut sum = 0.0f64;
+        let mut n = 0usize;
+        for b in &self.bins {
+            if filter == BtFilter::Include || !b.bt {
+                sum += b.up_bytes * 8.0 / secs;
+                n += 1;
+            }
+        }
+        if n == 0 {
+            return None;
+        }
+        Some(Bandwidth::from_bps(sum / n as f64))
+    }
+
+    /// The paper's demand summary: mean rate and 95th-percentile rate over
+    /// observed bins. Returns `None` when no bins survive the filter.
+    pub fn demand(&self, filter: BtFilter) -> Option<DemandSummary> {
+        self.demand_with(filter, &mut Vec::new())
+    }
+
+    /// [`UsageSeries::demand`] with a caller-provided rates buffer. The
+    /// p95 uses a selection-based quantile over the scratch buffer
+    /// instead of cloning and fully sorting the rates; the result is
+    /// bit-identical (type-7 interpolation over the same order
+    /// statistics — see `quantile_unstable`).
+    pub fn demand_with(&self, filter: BtFilter, rates: &mut Vec<f64>) -> Option<DemandSummary> {
+        let secs = self.width.secs();
+        rates.clear();
+        rates.extend(
+            self.bins
+                .iter()
+                .filter(|b| filter == BtFilter::Include || !b.bt)
+                .map(|b| b.down_bytes * 8.0 / secs),
+        );
+        if rates.is_empty() {
+            return None;
+        }
+        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
+        let peak = quantile_unstable(rates, 0.95);
+        // Guard against numeric jitter putting the p95 a hair below the
+        // mean for near-constant series.
+        let peak = peak.max(mean);
+        Some(DemandSummary::new(
+            Bandwidth::from_bps(mean),
+            Bandwidth::from_bps(peak),
+        ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::counters::upnp_deltas_stats;
+    use crate::link::AccessLink;
+    use crate::workload::{simulate_user, UserWorkload};
+    use bb_types::{Latency, LossRate, TimeAxis, Year};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    fn truth(seed: u64, bt: bool) -> GroundTruth {
+        let link = AccessLink::new(
+            Bandwidth::from_mbps(10.0),
+            Latency::from_ms(40.0),
+            LossRate::from_percent(0.01),
+        );
+        let wl = if bt {
+            UserWorkload::with_bt(Bandwidth::from_mbps(1.0), 0.5)
+        } else {
+            UserWorkload::without_bt(Bandwidth::from_mbps(1.0))
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        simulate_user(&link, &wl, TimeAxis::new(Year(2012), 7), &mut rng)
+    }
+
+    /// Fault-free counter collection through the one public entry, with
+    /// fresh scratch and an inert chaos stream (`NONE` never draws).
+    fn plain(
+        truth: &GroundTruth,
+        uptime: f64,
+        source: CounterSource,
+        cap: Bandwidth,
+        rng: &mut ChaCha8Rng,
+        reg: &mut Registry,
+    ) -> UsageSeries {
+        UsageSeries::collect_via_counters_chaos_with(
+            truth,
+            uptime,
+            source,
+            cap,
+            &ChaosPlan::NONE,
+            rng,
+            &mut ChaCha8Rng::seed_from_u64(0),
+            reg,
+            &mut CollectScratch::new(),
+        )
+    }
+
     /// The pre-batching scalar implementation, kept verbatim as the
-    /// equivalence oracle for the batched path. Not part of the public
-    /// API surface; the `scalar_vs_batched` test suite (and nothing
-    /// else) should call this.
-    #[doc(hidden)]
+    /// equivalence oracle for
+    /// [`UsageSeries::collect_via_counters_chaos_with`].
     #[allow(clippy::too_many_arguments)]
-    pub fn collect_via_counters_chaos_reference<R: Rng + ?Sized, C: Rng + ?Sized>(
+    fn collect_via_counters_chaos_reference<R: Rng + ?Sized, C: Rng + ?Sized>(
         truth: &GroundTruth,
         uptime: f64,
         source: CounterSource,
@@ -473,7 +542,7 @@ impl UsageSeries {
         rng: &mut R,
         chaos_rng: &mut C,
         reg: &mut Registry,
-    ) -> Self {
+    ) -> UsageSeries {
         assert!(uptime > 0.0 && uptime <= 1.0, "uptime in (0,1]");
         const MAX_GAP_SLOTS: usize = 2;
         const CROSS_DETECTION: f64 = 0.9;
@@ -574,114 +643,6 @@ impl UsageSeries {
         }
     }
 
-    /// Number of observed bins.
-    pub fn len(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// True when nothing was observed (client never online).
-    pub fn is_empty(&self) -> bool {
-        self.bins.is_empty()
-    }
-
-    /// Whether any observed bin is BitTorrent-flagged. When none are,
-    /// the BT-excluding filter keeps every bin, so the BT-excluded
-    /// demand summary equals the BT-included one exactly — callers can
-    /// skip the second pass.
-    pub fn any_bt(&self) -> bool {
-        self.bins.iter().any(|b| b.bt)
-    }
-
-    /// Per-bin downlink rates (bps) after applying the BitTorrent filter.
-    pub fn rates(&self, filter: BtFilter) -> Vec<f64> {
-        let secs = self.width.secs();
-        self.bins
-            .iter()
-            .filter(|b| filter == BtFilter::Include || !b.bt)
-            .map(|b| b.down_bytes * 8.0 / secs)
-            .collect()
-    }
-
-    /// Mean uplink rate over observed bins, after the BitTorrent filter.
-    ///
-    /// Computed streaming — a running sum in filter order is exactly the
-    /// `Vec`-collect-then-sum of the seed implementation, minus the
-    /// allocation.
-    pub fn upload_mean(&self, filter: BtFilter) -> Option<Bandwidth> {
-        let secs = self.width.secs();
-        let mut sum = 0.0f64;
-        let mut n = 0usize;
-        for b in &self.bins {
-            if filter == BtFilter::Include || !b.bt {
-                sum += b.up_bytes * 8.0 / secs;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            return None;
-        }
-        Some(Bandwidth::from_bps(sum / n as f64))
-    }
-
-    /// The paper's demand summary: mean rate and 95th-percentile rate over
-    /// observed bins. Returns `None` when no bins survive the filter.
-    pub fn demand(&self, filter: BtFilter) -> Option<DemandSummary> {
-        self.demand_with(filter, &mut Vec::new())
-    }
-
-    /// [`UsageSeries::demand`] with a caller-provided rates buffer. The
-    /// p95 uses a selection-based quantile over the scratch buffer
-    /// instead of cloning and fully sorting the rates; the result is
-    /// bit-identical (type-7 interpolation over the same order
-    /// statistics — see `quantile_unstable`).
-    pub fn demand_with(&self, filter: BtFilter, rates: &mut Vec<f64>) -> Option<DemandSummary> {
-        let secs = self.width.secs();
-        rates.clear();
-        rates.extend(
-            self.bins
-                .iter()
-                .filter(|b| filter == BtFilter::Include || !b.bt)
-                .map(|b| b.down_bytes * 8.0 / secs),
-        );
-        if rates.is_empty() {
-            return None;
-        }
-        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
-        let peak = quantile_unstable(rates, 0.95);
-        // Guard against numeric jitter putting the p95 a hair below the
-        // mean for near-constant series.
-        let peak = peak.max(mean);
-        Some(DemandSummary::new(
-            Bandwidth::from_bps(mean),
-            Bandwidth::from_bps(peak),
-        ))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::link::AccessLink;
-    use crate::workload::{simulate_user, UserWorkload};
-    use bb_types::{Latency, LossRate, TimeAxis, Year};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    fn truth(seed: u64, bt: bool) -> GroundTruth {
-        let link = AccessLink::new(
-            Bandwidth::from_mbps(10.0),
-            Latency::from_ms(40.0),
-            LossRate::from_percent(0.01),
-        );
-        let wl = if bt {
-            UserWorkload::with_bt(Bandwidth::from_mbps(1.0), 0.5)
-        } else {
-            UserWorkload::without_bt(Bandwidth::from_mbps(1.0))
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        simulate_user(&link, &wl, TimeAxis::new(Year(2012), 7), &mut rng)
-    }
-
     #[test]
     fn gateway_sees_every_hour() {
         let t = truth(1, false);
@@ -775,7 +736,7 @@ mod tests {
                 .demand(BtFilter::Include)
                 .unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(20);
-            let via = UsageSeries::collect_via_counters(&t, 0.95, source, cap, &mut rng)
+            let via = plain(&t, 0.95, source, cap, &mut rng, &mut Registry::new())
                 .demand(BtFilter::Include)
                 .unwrap();
             let mean_ratio = via.mean / direct.mean;
@@ -805,9 +766,16 @@ mod tests {
         assert!(t.total_cross_bytes() > t.total_bytes());
         let demand = |source| {
             let mut rng = ChaCha8Rng::seed_from_u64(52);
-            UsageSeries::collect_via_counters(&t, 0.9, source, link.capacity, &mut rng)
-                .demand(BtFilter::Include)
-                .unwrap()
+            plain(
+                &t,
+                0.9,
+                source,
+                link.capacity,
+                &mut rng,
+                &mut Registry::new(),
+            )
+            .demand(BtFilter::Include)
+            .unwrap()
         };
         let upnp = demand(CounterSource::Upnp);
         let netstat = demand(CounterSource::Netstat);
@@ -840,22 +808,24 @@ mod tests {
             t.total_bytes()
         );
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let upnp = UsageSeries::collect_via_counters(
+        let upnp = plain(
             &t,
             0.9,
             CounterSource::Upnp,
             link.capacity,
             &mut rng,
+            &mut Registry::new(),
         )
         .demand(BtFilter::Include)
         .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let netstat = UsageSeries::collect_via_counters(
+        let netstat = plain(
             &t,
             0.9,
             CounterSource::Netstat,
             link.capacity,
             &mut rng,
+            &mut Registry::new(),
         )
         .demand(BtFilter::Include)
         .unwrap();
@@ -879,7 +849,7 @@ mod tests {
 
         let mut reg = bb_trace::Registry::new();
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let traced = UsageSeries::collect_via_counters_traced(
+        let traced = plain(
             &t,
             0.5,
             CounterSource::Upnp,
@@ -897,12 +867,13 @@ mod tests {
 
         // Tracing is observation only: the series is unchanged.
         let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let untraced = UsageSeries::collect_via_counters(
+        let untraced = plain(
             &t,
             0.5,
             CounterSource::Upnp,
             link.capacity,
             &mut rng,
+            &mut Registry::new(),
         );
         assert_eq!(traced, untraced);
     }
@@ -914,14 +885,12 @@ mod tests {
         for source in [CounterSource::Upnp, CounterSource::Netstat] {
             let mut reg_a = Registry::new();
             let mut rng = ChaCha8Rng::seed_from_u64(42);
-            let plain = UsageSeries::collect_via_counters_traced(
-                &t, 0.6, source, cap, &mut rng, &mut reg_a,
-            );
+            let plain = plain(&t, 0.6, source, cap, &mut rng, &mut reg_a);
             let mut reg_b = Registry::new();
             let mut rng = ChaCha8Rng::seed_from_u64(42);
             // A chaos RNG seeded differently: NONE must never touch it.
             let mut chaos_rng = ChaCha8Rng::seed_from_u64(999);
-            let chaotic = UsageSeries::collect_via_counters_chaos(
+            let chaotic = UsageSeries::collect_via_counters_chaos_with(
                 &t,
                 0.6,
                 source,
@@ -930,6 +899,7 @@ mod tests {
                 &mut rng,
                 &mut chaos_rng,
                 &mut reg_b,
+                &mut CollectScratch::new(),
             );
             assert_eq!(plain, chaotic, "{source:?}");
             assert_eq!(reg_a.to_json(), reg_b.to_json(), "{source:?}");
@@ -948,7 +918,7 @@ mod tests {
             let mut reg = Registry::new();
             let mut rng = ChaCha8Rng::seed_from_u64(44);
             let mut chaos_rng = ChaCha8Rng::seed_from_u64(45);
-            let s = UsageSeries::collect_via_counters_chaos(
+            let s = UsageSeries::collect_via_counters_chaos_with(
                 &t,
                 0.8,
                 source,
@@ -957,6 +927,7 @@ mod tests {
                 &mut rng,
                 &mut chaos_rng,
                 &mut reg,
+                &mut CollectScratch::new(),
             );
             assert!(reg.counter("netsim.collect.duplicate_dropped") > 0);
             assert!(reg.counter("netsim.collect.out_of_order_dropped") > 0);
@@ -977,7 +948,7 @@ mod tests {
         let mut reg = Registry::new();
         let mut rng = ChaCha8Rng::seed_from_u64(48);
         let mut chaos_rng = ChaCha8Rng::seed_from_u64(49);
-        let s = UsageSeries::collect_via_counters_chaos(
+        let s = UsageSeries::collect_via_counters_chaos_with(
             &t,
             0.95,
             CounterSource::Netstat,
@@ -986,6 +957,7 @@ mod tests {
             &mut rng,
             &mut chaos_rng,
             &mut reg,
+            &mut CollectScratch::new(),
         );
         assert!(reg.counter("netsim.chaos.polls_skewed") > 0);
         assert!(!s.is_empty());
@@ -1014,7 +986,7 @@ mod tests {
                     let mut reg_a = Registry::new();
                     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xA5);
                     let mut chaos_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5A);
-                    let reference = UsageSeries::collect_via_counters_chaos_reference(
+                    let reference = collect_via_counters_chaos_reference(
                         &t,
                         uptime,
                         source,
@@ -1055,7 +1027,7 @@ mod tests {
                             let mut rng2 = ChaCha8Rng::seed_from_u64(seed ^ 0xA5);
                             let mut chaos2 = ChaCha8Rng::seed_from_u64(seed ^ 0x5A);
                             let mut reg2 = Registry::new();
-                            UsageSeries::collect_via_counters_chaos_reference(
+                            collect_via_counters_chaos_reference(
                                 &t,
                                 uptime,
                                 source,
@@ -1081,12 +1053,13 @@ mod tests {
         for (seed, bt) in [(13u64, true), (17, false), (19, true)] {
             let t = truth(seed, bt);
             let mut rng = ChaCha8Rng::seed_from_u64(seed + 100);
-            let s = UsageSeries::collect_via_counters(
+            let s = plain(
                 &t,
                 0.7,
                 CounterSource::Upnp,
                 Bandwidth::from_mbps(10.0),
                 &mut rng,
+                &mut Registry::new(),
             );
             for filter in [BtFilter::Include, BtFilter::Exclude] {
                 let rates = s.rates(filter);

@@ -136,44 +136,14 @@ impl FaultPlan {
 
     /// Apply sample dropping to a series of counter samples.
     pub fn drop_samples<T, R: Rng + ?Sized>(&self, samples: Vec<T>, rng: &mut R) -> Vec<T> {
-        let mut dropped = 0;
-        self.drop_samples_counted(samples, rng, &mut dropped)
-    }
-
-    /// [`FaultPlan::drop_samples`], reporting how many samples were lost
-    /// so callers can count them into a `bb_trace::Registry`
-    /// (`netsim.fault.samples_dropped`).
-    pub fn drop_samples_counted<T, R: Rng + ?Sized>(
-        &self,
-        samples: Vec<T>,
-        rng: &mut R,
-        dropped: &mut u64,
-    ) -> Vec<T> {
         let prob = self.effective_drop_prob();
         if prob <= 0.0 {
             return samples;
         }
-        let before = samples.len();
-        let kept: Vec<T> = samples
+        samples
             .into_iter()
             .filter(|_| rng.gen::<f64>() >= prob)
-            .collect();
-        *dropped += (before - kept.len()) as u64;
-        kept
-    }
-
-    /// [`FaultPlan::drop_samples`], counting the losses straight into a
-    /// registry under `netsim.fault.samples_dropped`.
-    pub fn drop_samples_traced<T, R: Rng + ?Sized>(
-        &self,
-        samples: Vec<T>,
-        rng: &mut R,
-        reg: &mut bb_trace::Registry,
-    ) -> Vec<T> {
-        let mut dropped = 0;
-        let kept = self.drop_samples_counted(samples, rng, &mut dropped);
-        reg.add("netsim.fault.samples_dropped", dropped);
-        kept
+            .collect()
     }
 }
 
@@ -302,30 +272,6 @@ mod tests {
             ..FaultPlan::NONE
         };
         assert_eq!(plan.effective_drop_prob(), 0.0);
-    }
-
-    #[test]
-    fn counted_dropping_reports_losses() {
-        let plan = FaultPlan::with_sample_drop(0.5);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut dropped = 0;
-        let kept =
-            plan.drop_samples_counted((0..10_000).collect::<Vec<_>>(), &mut rng, &mut dropped);
-        assert_eq!(kept.len() as u64 + dropped, 10_000);
-        assert!(dropped > 4_000 && dropped < 6_000, "dropped {dropped}");
-    }
-
-    #[test]
-    fn traced_dropping_counts_into_the_registry() {
-        let plan = FaultPlan::with_sample_drop(0.5);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let mut reg = bb_trace::Registry::new();
-        let kept = plan.drop_samples_traced((0..10_000).collect::<Vec<_>>(), &mut rng, &mut reg);
-        assert_eq!(
-            reg.counter("netsim.fault.samples_dropped"),
-            (10_000 - kept.len()) as u64
-        );
-        assert!(reg.counter("netsim.fault.samples_dropped") > 0);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!
 //! The wrap/reset/stale-poll recovery heuristics in [`counters`] and
 //! [`collect`] report how often they fire through `bb-trace` (the
-//! `*_traced` collection variants and [`counters::DeltaStats`]); those
+//! registry every collection call takes and [`counters::DeltaStats`]); those
 //! counts are pure data events and merge plan-invariantly.
 
 #![forbid(unsafe_code)]

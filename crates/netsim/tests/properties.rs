@@ -4,10 +4,12 @@
 //! traffic than the unshaped link), and `FaultPlan::NONE` is an exact
 //! identity on links, sample schedules and collected series.
 
-use bb_netsim::collect::{BtFilter, CounterSource, UsageSeries};
+use bb_netsim::chaos::ChaosPlan;
+use bb_netsim::collect::{BtFilter, CollectScratch, CounterSource, UsageSeries};
 use bb_netsim::fault::{FaultPlan, TokenBucket};
 use bb_netsim::link::AccessLink;
 use bb_netsim::workload::{simulate_user, UserWorkload};
+use bb_trace::Registry;
 use bb_types::{Bandwidth, Latency, LossRate, TimeAxis, Year};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -107,8 +109,16 @@ proptest! {
         let truth = simulate_user(&link, &wl, axis, &mut rng);
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xDEAD);
-        let series = UsageSeries::collect_via_counters(
-            &truth, uptime, CounterSource::Upnp, link.capacity, &mut rng,
+        let series = UsageSeries::collect_via_counters_chaos_with(
+            &truth,
+            uptime,
+            CounterSource::Upnp,
+            link.capacity,
+            &ChaosPlan::NONE,
+            &mut rng,
+            &mut ChaCha8Rng::seed_from_u64(0),
+            &mut Registry::new(),
+            &mut CollectScratch::new(),
         );
 
         // Dropping with NONE keeps every bin and draws nothing.

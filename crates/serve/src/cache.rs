@@ -20,7 +20,6 @@ use bb_engine::{atomic_write, fnv1a64, CheckpointParams};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The validity marker and per-file digest manifest of a cache entry.
 const RESULT_MANIFEST: &str = "result.ok";
@@ -41,24 +40,28 @@ pub fn cache_key(params: &CheckpointParams, shards: usize) -> u64 {
     fnv1a64(text.as_bytes())
 }
 
-/// An on-disk result cache with hit/miss/rejection counters.
+/// What a [`ResultCache::lookup`] found. The caller counts it once.
+#[derive(Debug, PartialEq)]
+pub enum Lookup {
+    /// A valid entry, with its files.
+    Hit(Vec<(String, String)>),
+    /// No servable entry.
+    Miss,
+    /// An entry whose digests did not verify. It has been invalidated,
+    /// so the caller recomputes as on a miss.
+    Rejected,
+}
+
+/// An on-disk result cache.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rejected: AtomicU64,
 }
 
 impl ResultCache {
     /// A cache rooted at `dir` (created lazily on first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        ResultCache {
-            dir: dir.into(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
+        ResultCache { dir: dir.into() }
     }
 
     /// The directory of one entry.
@@ -80,30 +83,19 @@ impl ResultCache {
         atomic_write(&entry.join(RESULT_MANIFEST), &manifest)
     }
 
-    /// Look up `key`, counting the outcome: a valid entry is a hit and
-    /// returns its files; a missing entry is a miss; an entry whose
-    /// digests do not verify is a rejection — it is invalidated (the
-    /// `result.ok` marker removed) and reported as a miss so the caller
-    /// recomputes.
-    pub fn lookup(&self, key: u64) -> Option<Vec<(String, String)>> {
+    /// Look up `key`: a valid entry is a hit and returns its files; a
+    /// missing entry is a miss; an entry whose digests do not verify is
+    /// rejected and invalidated (the `result.ok` marker removed).
+    pub fn lookup(&self, key: u64) -> Lookup {
         let entry = self.entry_dir(key);
-        let manifest = match fs::read_to_string(entry.join(RESULT_MANIFEST)) {
-            Ok(m) => m,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let Ok(manifest) = fs::read_to_string(entry.join(RESULT_MANIFEST)) else {
+            return Lookup::Miss;
         };
         match self.verify(&entry, &manifest) {
-            Ok(files) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(files)
-            }
+            Ok(files) => Lookup::Hit(files),
             Err(_) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 let _ = fs::remove_file(entry.join(RESULT_MANIFEST));
-                None
+                Lookup::Rejected
             }
         }
     }
@@ -125,21 +117,6 @@ impl ResultCache {
             files.push((name.to_string(), content));
         }
         Ok(files)
-    }
-
-    /// Valid lookups served without recomputation.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found no servable entry (including rejections).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries invalidated because an artifact failed verification.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
     }
 }
 
@@ -168,22 +145,18 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let cache = ResultCache::new(&dir);
         let key = cache_key(&params(1), 4);
-        assert!(cache.lookup(key).is_none());
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.lookup(key), Lookup::Miss);
         let files = vec![
             ("metrics.json".to_string(), "{\"a\": 1}".to_string()),
             ("fig1a.txt".to_string(), "figure\n".to_string()),
         ];
         cache.store(key, &files).unwrap();
-        assert_eq!(cache.lookup(key).as_deref(), Some(&files[..]));
-        assert_eq!((cache.hits(), cache.rejected()), (1, 0));
+        assert_eq!(cache.lookup(key), Lookup::Hit(files));
         // Corrupt one artifact: the entry is rejected, invalidated, and
         // stays invalid on the next probe (no marker file any more).
         fs::write(cache.entry_dir(key).join("fig1a.txt"), "tampered").unwrap();
-        assert!(cache.lookup(key).is_none());
-        assert_eq!((cache.hits(), cache.rejected()), (1, 1));
-        assert!(cache.lookup(key).is_none());
-        assert_eq!(cache.rejected(), 1, "no marker left to reject");
+        assert_eq!(cache.lookup(key), Lookup::Rejected);
+        assert_eq!(cache.lookup(key), Lookup::Miss, "no marker left to reject");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -66,6 +66,13 @@ const SURVIVAL_GRID: &[f64] = &[0.0, 0.5, 1.0];
 /// so these threads only parse, route and serve bytes.
 const HTTP_THREADS: usize = 8;
 
+/// Read and write deadline on every accepted socket. A client silent
+/// past it (an idle or half-open connection) frees its pool worker
+/// instead of holding it forever, so idle sockets can stall other
+/// requests and a draining shutdown for at most this long. The SSE
+/// path only writes, and its keepalive frames keep a live reader busy.
+pub const SOCKET_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Everything a server instance needs to know.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -157,6 +164,8 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
+                    let _ = stream.set_read_timeout(Some(SOCKET_DEADLINE));
+                    let _ = stream.set_write_timeout(Some(SOCKET_DEADLINE));
                     let inner = Arc::clone(&inner);
                     pool.execute(move || handle_connection(&inner, stream));
                 }
@@ -240,7 +249,7 @@ fn finish_request(
 }
 
 fn serve_one(inner: &Inner, stream: &mut TcpStream, req_id: u64, start: u64) {
-    let request = match read_request(stream) {
+    let request = match read_request(&mut *stream) {
         Ok(request) => request,
         // Parse-level rejections still get a proper HTTP answer; only a
         // dead transport (which includes the shutdown nudge connection)

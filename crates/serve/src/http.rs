@@ -3,8 +3,10 @@
 //! and `curl` — not a general server. Connections are `Connection:
 //! close`; bodies require `Content-Length` and are capped *at header
 //! parse time* (the declared length is validated before any buffer is
-//! sized from it); query keys and values are percent-decoded, with `+`
-//! as space.
+//! sized from it); the request line and each header line are capped at
+//! `MAX_LINE` bytes and the header count at `MAX_HEADERS` before
+//! anything is buffered past them; query keys and values are
+//! percent-decoded, with `+` as space.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -17,12 +19,21 @@ use std::thread;
 /// accidental uploads (job specs are a few dozen bytes).
 const MAX_BODY: usize = 1 << 20;
 
+/// Longest accepted request or header line, terminator included. It is
+/// also the read buffer size, so an endless line costs the server at
+/// most one more buffer fill past the cap before it is answered.
+const MAX_LINE: usize = 8 << 10;
+
+/// Most header lines accepted before the blank line that ends them.
+const MAX_HEADERS: usize = 100;
+
 /// Why a request could not be parsed. The connection handler maps these
 /// onto proper HTTP responses instead of silently dropping the socket.
 #[derive(Debug)]
 pub enum RequestError {
     /// Syntactically invalid request (bad request line, garbage
-    /// `Content-Length`, ...) — answer 400.
+    /// `Content-Length`, over-long line, too many headers, ...) —
+    /// answer 400.
     Malformed(String),
     /// Declared body length exceeds `MAX_BODY` (1 MiB) — answer 413.
     /// Raised from the header alone, before any allocation.
@@ -112,15 +123,26 @@ impl Request {
     }
 }
 
+/// Read one line of at most [`MAX_LINE`] bytes (empty at end of input).
+fn read_capped_line(reader: &mut impl BufRead, what: &str) -> Result<String, RequestError> {
+    let mut line = String::new();
+    reader.take(MAX_LINE as u64).read_line(&mut line)?;
+    if line.len() == MAX_LINE && !line.ends_with('\n') {
+        return Err(RequestError::Malformed(format!(
+            "{what} exceeds {MAX_LINE} bytes"
+        )));
+    }
+    Ok(line)
+}
+
 /// Read and parse one request from `stream`: I/O failures surface as
 /// [`RequestError::Io`], protocol problems as answerable
 /// [`RequestError::Malformed`]/[`RequestError::TooLarge`] variants. The
 /// declared `Content-Length` is validated while still a string — the
 /// body buffer is only ever sized from a value known to be ≤ the cap.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+pub fn read_request(stream: impl Read) -> Result<Request, RequestError> {
+    let mut reader = BufReader::with_capacity(MAX_LINE, stream);
+    let line = read_capped_line(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -140,14 +162,16 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     }
     // Headers: only Content-Length matters to us.
     let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
+    for count in 0.. {
+        let header = read_capped_line(&mut reader, "header line")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if count == MAX_HEADERS {
+            return Err(RequestError::Malformed(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -470,6 +494,71 @@ mod tests {
                 "{garbage:?}"
             );
         }
+    }
+
+    /// A reader that counts the bytes the parser pulled from it.
+    struct Counted<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// Parse `head` followed by an endless run of `filler` bytes,
+    /// returning the outcome and how many bytes the parser consumed.
+    fn parse_endless(head: &str, filler: u8) -> (Result<Request, RequestError>, usize) {
+        let mut input = Counted {
+            inner: head.as_bytes().chain(io::repeat(filler)),
+            read: 0,
+        };
+        let outcome = read_request(&mut input);
+        (outcome, input.read)
+    }
+
+    fn malformed(outcome: &Result<Request, RequestError>) -> &str {
+        match outcome {
+            Err(RequestError::Malformed(message)) => message,
+            other => panic!("expected a 400-class rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn over_long_request_line_is_rejected_after_one_cap() {
+        let (outcome, read) = parse_endless("GET /", b'a');
+        assert!(malformed(&outcome).contains("request line"));
+        assert!(read <= 2 * MAX_LINE, "read {read} bytes");
+    }
+
+    #[test]
+    fn over_long_header_line_is_rejected_after_one_cap() {
+        let head = "GET / HTTP/1.1\r\nX-Long: ";
+        let (outcome, read) = parse_endless(head, b'a');
+        assert!(malformed(&outcome).contains("header line"));
+        assert!(read <= head.len() + 2 * MAX_LINE, "read {read} bytes");
+    }
+
+    #[test]
+    fn too_many_headers_are_rejected() {
+        let header = "X-Spam: 1\r\n";
+        let too_many = format!("GET / HTTP/1.1\r\n{}", header.repeat(MAX_HEADERS + 1));
+        let (outcome, read) = parse_endless(&too_many, b'a');
+        assert!(malformed(&outcome).contains("header lines"));
+        assert!(read <= too_many.len() + MAX_LINE, "read {read} bytes");
+
+        // Exactly at both caps is still accepted.
+        let max_line = format!("X-Max: {}\r\n", "a".repeat(MAX_LINE - 9));
+        assert_eq!(max_line.len(), MAX_LINE);
+        let at_caps = format!(
+            "GET / HTTP/1.1\r\n{max_line}{}\r\n",
+            header.repeat(MAX_HEADERS - 1)
+        );
+        assert!(read_request(at_caps.as_bytes()).is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `/exhibits/{id}`, `/countries/{cc}`) serve concurrent readers without
 //! touching the cache counters.
 
-use crate::cache::{cache_key, ResultCache};
+use crate::cache::{cache_key, Lookup, ResultCache};
 use crate::runner;
 use crate::sse::Feed;
 use crate::telemetry::ServeTelemetry;
@@ -233,17 +233,17 @@ impl Scheduler {
 
     /// Cache hits (jobs answered without recomputation).
     pub fn cache_hits(&self) -> u64 {
-        self.shared.cache.hits()
+        self.shared.telemetry.cache_hits.get()
     }
 
-    /// Cache misses (jobs that had to compute).
+    /// Cache misses (jobs that had to compute, rejections included).
     pub fn cache_misses(&self) -> u64 {
-        self.shared.cache.misses()
+        self.shared.telemetry.cache_misses.get()
     }
 
     /// Cache entries rejected for failed digest verification.
     pub fn cache_rejected(&self) -> u64 {
-        self.shared.cache.rejected()
+        self.shared.telemetry.cache_rejected.get()
     }
 
     /// Total jobs ever submitted.
@@ -315,17 +315,15 @@ fn worker_loop(shared: &Shared) {
             )
         };
         let feed = set_state(shared, index, JobState::Running);
-        // `lookup` bumps the cache's own counters; mirror the outcome
-        // into the live time series (a digest mismatch reads as a miss
-        // *and* a rejection, matching the cache's counting).
-        let rejected_before = shared.cache.rejected();
+        // Count the lookup's outcome once: a digest mismatch reads as a
+        // rejection *and* a miss, since the job recomputes either way.
         let outcome = match shared.cache.lookup(key) {
-            Some(files) => {
+            Lookup::Hit(files) => {
                 telemetry.cache_hit();
                 Ok((files, true))
             }
-            None => {
-                if shared.cache.rejected() > rejected_before {
+            found => {
+                if found == Lookup::Rejected {
                     telemetry.cache_rejection();
                 }
                 telemetry.cache_miss();

@@ -35,6 +35,7 @@
 //! exhibit file; the byte-identity suites pin that.
 
 use bb_trace::telemetry::{AtomicLog2Histogram, Clock, Counter, Gauge, Telemetry};
+use bb_trace::write_json_string;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
@@ -72,9 +73,12 @@ pub struct ServeTelemetry {
     pub jobs_completed: Arc<Counter>,
     /// Jobs that reached `failed`.
     pub jobs_failed: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_rejected: Arc<Counter>,
+    /// Result-cache lookups answered from the cache.
+    pub cache_hits: Arc<Counter>,
+    /// Result-cache lookups that had to compute (rejections included).
+    pub cache_misses: Arc<Counter>,
+    /// Result-cache entries rejected for failed digest verification.
+    pub cache_rejected: Arc<Counter>,
     access: Option<Mutex<File>>,
 }
 
@@ -172,14 +176,18 @@ impl ServeTelemetry {
         micros: u64,
     ) {
         let Some(file) = &self.access else { return };
-        let line = format!(
-            "{{\"ts\": {}, \"id\": {id}, \"method\": \"{}\", \"route\": \"{}\", \
-             \"path\": \"{}\", \"status\": {status}, \"bytes\": {bytes}, \"us\": {micros}}}\n",
-            self.telemetry.epoch_secs(),
-            json_escape(method),
-            json_escape(template),
-            json_escape(path),
+        let mut line = format!(
+            "{{\"ts\": {}, \"id\": {id}, \"method\": ",
+            self.telemetry.epoch_secs()
         );
+        write_json_string(&mut line, method);
+        line.push_str(", \"route\": ");
+        write_json_string(&mut line, template);
+        line.push_str(", \"path\": ");
+        write_json_string(&mut line, path);
+        line.push_str(&format!(
+            ", \"status\": {status}, \"bytes\": {bytes}, \"us\": {micros}}}\n"
+        ));
         let mut file = file.lock().expect("access log");
         let _ = file.write_all(line.as_bytes());
         let _ = file.flush();
@@ -210,22 +218,6 @@ impl std::fmt::Debug for ServeTelemetry {
             .field("access_log", &self.access.is_some())
             .finish()
     }
-}
-
-/// Escape a request-derived string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,14 +1,19 @@
 //! In-process integration tests for the gateway: route behaviour, SSE
 //! replay, and the cache-key semantics (hit ⇒ identical bytes without
 //! recomputation; any parameter change ⇒ miss; corrupt entry ⇒ counted
-//! rejection and recompute).
+//! rejection and recompute), and the socket deadline that keeps idle
+//! clients from stalling requests or shutdown.
 
 use bb_engine::ShardPlan;
+use bb_serve::gateway::SOCKET_DEADLINE;
 use bb_serve::{Server, ServerConfig};
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -329,4 +334,69 @@ fn non_finite_severity_is_a_400_at_submission() {
     ] {
         assert_eq!(post_job(addr, body).0, 202, "{body}");
     }
+}
+
+/// How much later than [`SOCKET_DEADLINE`] a freed worker may answer.
+const DEADLINE_SLACK: Duration = Duration::from_secs(5);
+
+/// Block until `n` connections sit in pool workers (idle ones block
+/// there reading a request that never comes).
+fn wait_in_flight(server: &Server, n: i64) {
+    let started = Instant::now();
+    while server.telemetry().in_flight.get() < n {
+        assert!(
+            started.elapsed() < SOCKET_DEADLINE,
+            "connections never reached the pool"
+        );
+        thread::yield_now();
+    }
+}
+
+#[test]
+fn idle_sockets_do_not_stall_healthz_past_the_deadline() {
+    let dir = tmpdir("serve-idle-healthz");
+    let server = small_server(&dir);
+    let addr = server.addr();
+    // One silent connection per pool worker (the pool has 8). Before
+    // the socket deadline, each pinned its worker forever.
+    let idle: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    wait_in_flight(&server, 8);
+
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(SOCKET_DEADLINE + DEADLINE_SLACK))
+        .unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("/healthz answered within the deadline");
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    assert!(started.elapsed() < SOCKET_DEADLINE + DEADLINE_SLACK);
+    drop(idle);
+}
+
+#[test]
+fn shutdown_returns_within_the_deadline_with_an_idle_socket_open() {
+    let dir = tmpdir("serve-idle-shutdown");
+    let mut server = small_server(&dir);
+    let idle = TcpStream::connect(server.addr()).expect("connect");
+    wait_in_flight(&server, 1);
+
+    let (done, finished) = mpsc::channel();
+    let started = Instant::now();
+    thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(SOCKET_DEADLINE + DEADLINE_SLACK)
+        .expect("shutdown returned while an idle client was connected");
+    assert!(started.elapsed() < SOCKET_DEADLINE + DEADLINE_SLACK);
+    drop(idle);
 }

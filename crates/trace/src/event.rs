@@ -115,7 +115,9 @@ impl Value {
     }
 }
 
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string literal: quotes,
+/// backslashes and every control character escaped.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -40,7 +40,7 @@ pub mod registry;
 pub mod span;
 pub mod telemetry;
 
-pub use event::{Event, EventBuilder, EventLog, EventTail, Value};
+pub use event::{write_json_string, Event, EventBuilder, EventLog, EventTail, Value};
 pub use hist::Log2Histogram;
 pub use intern::intern;
 pub use registry::Registry;
