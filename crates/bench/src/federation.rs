@@ -33,6 +33,7 @@ use bb_netsim::chaos::ChaosSpec;
 use bb_report::{bundle, markdown};
 use bb_study::{StreamJob, StreamStudy};
 use bb_trace::{Registry, Telemetry};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -111,6 +112,10 @@ fn decode(payload: &str) -> Result<(StreamStudy, Registry), String> {
 /// as a single-process `reproduce --users` run.
 pub fn run_coordinator(args: &CoordinatorArgs) -> Result<(), String> {
     let job = StreamJob::new(args.seed, args.users, args.days, args.fcc_users, args.chaos)?;
+    // Bind before deriving the world: workers started alongside the
+    // coordinator queue in the backlog instead of being refused.
+    let listener =
+        TcpListener::bind(&args.listen).map_err(|e| format!("bind {}: {e}", args.listen))?;
     if let Some(spec) = job.chaos() {
         progress(
             args.quiet,
@@ -122,8 +127,7 @@ pub fn run_coordinator(args: &CoordinatorArgs) -> Result<(), String> {
     let mut coordinator_cfg = CoordinatorConfig::new(to_wire(&job, n_items, args.shards));
     coordinator_cfg.lease_timeout = args.lease_timeout;
     coordinator_cfg.io_deadline = args.io_deadline;
-    let coordinator = Coordinator::bind(&args.listen, coordinator_cfg, Arc::clone(&telemetry))
-        .map_err(|e| format!("bind {}: {e}", args.listen))?;
+    let coordinator = Coordinator::new(listener, coordinator_cfg, Arc::clone(&telemetry));
     let commits = restore_checkpoint(args, &job, n_items, &coordinator)?;
     let addr = coordinator
         .local_addr()

@@ -436,6 +436,25 @@ fn killed_coordinator_resumes_byte_identical() {
     );
 }
 
+/// A finished worker exits with the coordinator, not through its
+/// reconnect schedule: on default options, both workers of a clean run
+/// are gone within 1 s of the coordinator's exit, the idle one included.
+#[test]
+fn workers_exit_with_the_coordinator() {
+    let dir = tmpdir("federate-clean-exit");
+    let (mut coordinator, addr, drain) = spawn_coordinator(&dir, &[]);
+    let mut workers: Vec<Child> = (0..2).map(|_| spawn_worker(&dir, &addr, &[])).collect();
+    let status = wait_with_deadline(&mut coordinator, "coordinator", Duration::from_secs(120));
+    assert_eq!(status.code(), Some(0));
+    let exited = Instant::now();
+    for (i, worker) in workers.iter_mut().enumerate() {
+        let left = Duration::from_secs(1).saturating_sub(exited.elapsed());
+        let status = wait_with_deadline(worker, "worker within 1 s of the coordinator", left);
+        assert_eq!(status.code(), Some(0), "worker {i} must exit cleanly");
+    }
+    drain.join().expect("drain");
+}
+
 #[test]
 fn workers_outnumbering_shards_stay_healthy() {
     // Empty claims are normal: 2 shards, 3 workers — whoever arrives

@@ -31,8 +31,12 @@ use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// How often [`Coordinator::run_with`] polls its listener for new
+/// workers while no shard-table change wakes it.
+const ACCEPT_TICK: Duration = Duration::from_millis(20);
 
 /// Tuning knobs for a [`Coordinator`].
 #[derive(Clone, Debug)]
@@ -42,7 +46,12 @@ pub struct CoordinatorConfig {
     /// How long a leased shard may go without a result or heartbeat
     /// before it is reassigned.
     pub lease_timeout: Duration,
-    /// The sleep a [`Message::Wait`] directive suggests.
+    /// The longest a `Ready` (or `Result`) reply that finds no shard
+    /// pending is held open waiting for one: the reply goes out as
+    /// `Assign` or `Finished` the moment a requeue or completion changes
+    /// the table, or as `Wait { poll_ms: 0 }` when the hold runs
+    /// out. Also bounds how long [`Coordinator::run_with`] waits, once
+    /// the job is done, for open connections to be answered `Finished`.
     pub poll_ms: u64,
     /// Read/write deadline on every worker socket: a peer silent for
     /// this long is dropped (leases requeued) instead of hanging its
@@ -52,8 +61,8 @@ pub struct CoordinatorConfig {
 }
 
 impl CoordinatorConfig {
-    /// A config with the default 30 s lease, 200 ms poll, and 30 s
-    /// socket deadline.
+    /// A config with the default 30 s lease, 200 ms reply hold, and
+    /// 30 s socket deadline.
     pub fn new(job: JobSpec) -> Self {
         CoordinatorConfig {
             job,
@@ -109,10 +118,16 @@ struct State {
     remaining: usize,
     report: FederationReport,
     done: bool,
+    /// Connection threads still running: once `done`, `run_with` waits
+    /// for these to answer their workers `Finished` and exit.
+    connections: usize,
 }
 
 struct Shared {
     state: Mutex<State>,
+    /// Signalled on every change a held reply or `run_with` waits for:
+    /// a requeue, the last merge (completion), a connection's exit.
+    changed: Condvar,
     cfg: CoordinatorConfig,
     ranges: Vec<Range<u64>>,
     telemetry: Arc<Telemetry>,
@@ -123,10 +138,18 @@ impl Shared {
         self.telemetry.now_micros()
     }
 
-    /// Move every expired lease back to the queue. Callers hold no lock.
-    fn sweep_expired(&self) {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("federation state")
+    }
+
+    /// The longest a reply is held, and `run_with`'s drain bound.
+    fn hold(&self) -> Duration {
+        Duration::from_millis(self.cfg.poll_ms)
+    }
+
+    /// Move every expired lease back to the queue.
+    fn sweep_expired(&self, state: &mut State) {
         let now = self.now_us();
-        let mut state = self.state.lock().expect("federation state");
         let expired: Vec<usize> = state
             .leases
             .iter()
@@ -137,7 +160,7 @@ impl Shared {
             let lease = state.leases.remove(&shard).expect("swept lease");
             state.pending.push_back(shard);
             self.count_reassignment(
-                &mut state,
+                state,
                 "lease-expired",
                 format!(
                     "shard {shard}: lease held by worker {} expired",
@@ -149,7 +172,7 @@ impl Shared {
 
     /// Requeue every lease held by `worker` (it died or misbehaved).
     fn drop_worker(&self, worker: u64, cause: &str) {
-        let mut state = self.state.lock().expect("federation state");
+        let mut state = self.lock();
         let held: Vec<usize> = state
             .leases
             .iter()
@@ -167,7 +190,9 @@ impl Shared {
         }
     }
 
+    /// Count a shard moved back to `pending` and wake held replies.
     fn count_reassignment(&self, state: &mut State, reason: &'static str, detail: String) {
+        self.changed.notify_all();
         state.report.reassignments += 1;
         state.report.reasons.push(detail);
         self.telemetry
@@ -176,7 +201,7 @@ impl Shared {
     }
 
     fn count_rejected_frame(&self, detail: String) {
-        let mut state = self.state.lock().expect("federation state");
+        let mut state = self.lock();
         state.report.frames_rejected += 1;
         state.report.reasons.push(detail);
         self.telemetry.counter("federate.frames.rejected").inc();
@@ -185,7 +210,7 @@ impl Shared {
     /// A socket deadline fired: count it, with the phase (`handshake`,
     /// `session`, `write`) as the instrument label.
     fn count_deadline(&self, phase: &'static str, detail: String) {
-        let mut state = self.state.lock().expect("federation state");
+        let mut state = self.lock();
         state.report.deadline_expiries += 1;
         state.report.reasons.push(detail);
         self.telemetry
@@ -194,46 +219,60 @@ impl Shared {
     }
 
     /// Answer a `Ready` (or a just-merged `Result`): hand out a shard,
-    /// ask the worker to poll again, or finish it.
+    /// or finish the worker. With nothing pending but shards still in
+    /// flight, the reply is held on [`Shared::changed`] for up to
+    /// `poll_ms` (waking at the earliest lease deadline to sweep it),
+    /// then answered `Wait { poll_ms: 0 }` so the worker asks again.
     fn next_directive(&self, worker: u64) -> Message {
-        self.sweep_expired();
-        let now = self.now_us();
-        let mut state = self.state.lock().expect("federation state");
-        if state.remaining == 0 {
-            return Message::Finished;
-        }
-        if let Some(shard) = state.pending.pop_front() {
-            state.leases.insert(
-                shard,
-                Lease {
-                    worker,
-                    issued_us: now,
-                    deadline_us: now + self.cfg.lease_timeout.as_micros() as u64,
-                },
-            );
-            drop(state);
-            self.telemetry
-                .counter_with(
-                    "federate.worker.assigned",
-                    &[("worker", &worker.to_string())],
-                )
-                .inc();
-            let range = &self.ranges[shard];
-            return Message::Assign {
-                shard: shard as u64,
-                start: range.start,
-                end: range.end,
+        let hold_until = Instant::now() + self.hold();
+        let mut state = self.lock();
+        loop {
+            self.sweep_expired(&mut state);
+            if state.remaining == 0 {
+                return Message::Finished;
+            }
+            let now = self.now_us();
+            if let Some(shard) = state.pending.pop_front() {
+                state.leases.insert(
+                    shard,
+                    Lease {
+                        worker,
+                        issued_us: now,
+                        deadline_us: now + self.cfg.lease_timeout.as_micros() as u64,
+                    },
+                );
+                drop(state);
+                self.telemetry
+                    .counter_with(
+                        "federate.worker.assigned",
+                        &[("worker", &worker.to_string())],
+                    )
+                    .inc();
+                let range = &self.ranges[shard];
+                return Message::Assign {
+                    shard: shard as u64,
+                    start: range.start,
+                    end: range.end,
+                };
+            }
+            let Some(mut hold) = hold_until.checked_duration_since(Instant::now()) else {
+                return Message::Wait { poll_ms: 0 };
             };
-        }
-        Message::Wait {
-            poll_ms: self.cfg.poll_ms,
+            if let Some(deadline) = state.leases.values().map(|l| l.deadline_us).min() {
+                hold = hold.min(Duration::from_micros(deadline.saturating_sub(now) + 1));
+            }
+            state = self
+                .changed
+                .wait_timeout(state, hold)
+                .expect("federation state")
+                .0;
         }
     }
 
     /// Extend the lease of a shard still being computed.
     fn heartbeat(&self, worker: u64, shard: u64) {
         let deadline = self.now_us() + self.cfg.lease_timeout.as_micros() as u64;
-        let mut state = self.state.lock().expect("federation state");
+        let mut state = self.lock();
         if let Some(lease) = state.leases.get_mut(&(shard as usize)) {
             if lease.worker == worker {
                 lease.deadline_us = deadline;
@@ -267,7 +306,17 @@ impl Coordinator {
         cfg: CoordinatorConfig,
         telemetry: Arc<Telemetry>,
     ) -> std::io::Result<Coordinator> {
-        let listener = TcpListener::bind(addr)?;
+        Ok(Coordinator::new(TcpListener::bind(addr)?, cfg, telemetry))
+    }
+
+    /// [`bind`](Coordinator::bind) on an already-bound `listener`. Bind
+    /// before any slow set-up: workers that dial meanwhile wait in the
+    /// listen backlog instead of being refused into their backoff.
+    pub fn new(
+        listener: TcpListener,
+        cfg: CoordinatorConfig,
+        telemetry: Arc<Telemetry>,
+    ) -> Coordinator {
         let shards = usize::try_from(cfg.job.shards.max(1)).unwrap_or(1);
         let ranges = ShardPlan::new(shards, 1).ranges(cfg.job.n_items);
         let n = ranges.len();
@@ -279,12 +328,14 @@ impl Coordinator {
                 remaining: n,
                 report: FederationReport::default(),
                 done: false,
+                connections: 0,
             }),
+            changed: Condvar::new(),
             cfg,
             ranges,
             telemetry,
         });
-        Ok(Coordinator { listener, shared })
+        Coordinator { listener, shared }
     }
 
     /// The bound address (scrape this for ephemeral ports).
@@ -303,7 +354,7 @@ impl Coordinator {
     /// report. Returns the number of shards restored. Out-of-range
     /// indices and repeats of an already-filled slot are ignored.
     pub fn preload(&self, payloads: impl IntoIterator<Item = (usize, String)>) -> usize {
-        let mut state = self.shared.state.lock().expect("federation state");
+        let mut state = self.shared.lock();
         let mut restored = 0;
         for (index, payload) in payloads {
             if index >= self.shared.ranges.len() || state.payloads[index].is_some() {
@@ -327,9 +378,12 @@ impl Coordinator {
     ///
     /// `validate` vets each result payload (shard index, payload text)
     /// before it is merged; returning `Err` counts a rejection, requeues
-    /// the shard, and drops the sender. Connection threads are detached:
-    /// a worker still blocked mid-compute when the job completes
-    /// receives `Finished` on its next request.
+    /// the shard, and drops the sender. Every held reply is answered
+    /// `Finished` the moment the last shard merges, and `run` returns
+    /// once each connection has been answered and closed, or `poll_ms`
+    /// after completion, whichever comes first. Connection threads are
+    /// detached: a worker still blocked mid-compute past that point
+    /// finds the coordinator gone.
     pub fn run<V>(self, validate: V) -> (Vec<String>, FederationReport)
     where
         V: Fn(u64, &str) -> Result<(), String> + Send + Sync + 'static,
@@ -353,27 +407,53 @@ impl Coordinator {
         self.listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
+        let shared = &self.shared;
         loop {
-            if self.shared.state.lock().expect("federation state").done {
-                break;
+            {
+                let mut state = shared.lock();
+                if state.done {
+                    break;
+                }
+                shared.sweep_expired(&mut state);
             }
-            self.shared.sweep_expired();
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
+                    shared.lock().connections += 1;
+                    let shared = Arc::clone(shared);
                     let validate = Arc::clone(&validate);
                     let persist = Arc::clone(&persist);
                     std::thread::spawn(move || {
-                        handle_connection(&shared, stream, &*validate, &*persist)
+                        handle_connection(&shared, stream, &*validate, &*persist);
+                        shared.lock().connections -= 1;
+                        shared.changed.notify_all();
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                Err(_) => {
+                    // No worker waiting: sleep until the next accept tick
+                    // or, sooner, until a change (completion) is signalled.
+                    let state = shared.lock();
+                    if !state.done {
+                        let _ = shared.changed.wait_timeout(state, ACCEPT_TICK);
+                    }
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
-        let mut state = self.shared.state.lock().expect("federation state");
+        // Let every connection answer its worker `Finished` and close, so
+        // a coordinator process exiting next never strands a worker in
+        // its reconnect schedule; a straggler still computing is not
+        // waited for past the hold bound.
+        let drain_until = Instant::now() + shared.hold();
+        let mut state = shared.lock();
+        while state.connections > 0 {
+            let Some(left) = drain_until.checked_duration_since(Instant::now()) else {
+                break;
+            };
+            state = shared
+                .changed
+                .wait_timeout(state, left)
+                .expect("federation state")
+                .0;
+        }
         let payloads = state
             .payloads
             .iter_mut()
@@ -413,7 +493,7 @@ fn handle_connection(
     let worker = match read_frame(&mut reader) {
         Ok(text) => match Message::decode(&text) {
             Ok(Message::Hello { protocol, prior }) if protocol == PROTOCOL_VERSION => {
-                let mut state = shared.state.lock().expect("federation state");
+                let mut state = shared.lock();
                 state.report.workers_seen += 1;
                 let worker = state.report.workers_seen;
                 if prior != 0 {
@@ -593,7 +673,7 @@ fn accept_result(
         ));
     }
     {
-        let state = shared.state.lock().expect("federation state");
+        let state = shared.lock();
         if state.payloads[index].is_some() {
             drop(state);
             return record_duplicate(shared);
@@ -602,7 +682,7 @@ fn accept_result(
     // Validation can decode a multi-hundred-KiB snapshot: do it outside
     // the lock, then re-check for a racing merge of the same shard.
     if let Err(reason) = validate(shard, payload) {
-        let mut state = shared.state.lock().expect("federation state");
+        let mut state = shared.lock();
         state.report.results_rejected += 1;
         let detail = format!("shard {shard}: worker {worker} payload rejected: {reason}");
         state.report.reasons.push(detail.clone());
@@ -612,6 +692,7 @@ fn accept_result(
         }
         state.report.reassignments += 1;
         drop(state);
+        shared.changed.notify_all();
         shared.telemetry.counter("federate.results.rejected").inc();
         shared
             .telemetry
@@ -620,7 +701,7 @@ fn accept_result(
         return Accepted::Invalid(detail);
     }
     let now = shared.now_us();
-    let mut state = shared.state.lock().expect("federation state");
+    let mut state = shared.lock();
     if state.payloads[index].is_some() {
         drop(state);
         return record_duplicate(shared);
@@ -637,7 +718,9 @@ fn accept_result(
     state.payloads[index] = Some(payload.to_string());
     state.remaining -= 1;
     if state.remaining == 0 {
+        // Completion: every held reply and `run_with` wake to finish.
         state.done = true;
+        shared.changed.notify_all();
     }
     drop(state);
     shared
@@ -648,7 +731,7 @@ fn accept_result(
     // durability — a crash-restart would recompute this shard — but the
     // in-memory merge stands, so the run itself still completes.
     if let Err(reason) = persist(index, payload) {
-        let mut state = shared.state.lock().expect("federation state");
+        let mut state = shared.lock();
         state.report.reasons.push(format!(
             "shard {shard}: checkpoint persist failed: {reason}"
         ));
@@ -657,7 +740,7 @@ fn accept_result(
 }
 
 fn record_duplicate(shared: &Shared) -> Accepted {
-    let mut state = shared.state.lock().expect("federation state");
+    let mut state = shared.lock();
     state.report.duplicate_results += 1;
     drop(state);
     shared.telemetry.counter("federate.results.duplicate").inc();

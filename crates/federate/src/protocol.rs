@@ -227,9 +227,13 @@ pub enum Message {
         /// One past the last user index of the range.
         end: u64,
     },
-    /// Coordinator → worker: nothing unleased right now; poll again.
+    /// Coordinator → worker: nothing unleased right now; ask again. The
+    /// coordinator holds a `Ready` that finds nothing pending until a
+    /// shard frees up or the job finishes, so it sends `Wait` only when
+    /// that hold runs out, with `poll_ms: 0`: ask again at once.
     Wait {
-        /// Suggested sleep before the next `Ready`, in milliseconds.
+        /// Suggested sleep before the next `Ready`, in milliseconds. This
+        /// coordinator sends 0; a worker honours whatever it is told.
         poll_ms: u64,
     },
     /// Coordinator → worker: every shard is merged; disconnect.

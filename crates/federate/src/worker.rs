@@ -24,8 +24,7 @@ use crate::protocol::{
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Worker tuning and test hooks.
@@ -199,6 +198,15 @@ where
             pending = None;
             match directive {
                 Message::Assign { shard, start, end } => {
+                    let job = &session.job;
+                    if shard >= job.shards.max(1) || start > end || end > job.n_items {
+                        return Err(format!(
+                            "coordinator assigned shard {shard} over users {start}..{end}, \
+                             outside the job's {} shards of {} users",
+                            job.shards.max(1),
+                            job.n_items
+                        ));
+                    }
                     assignments += 1;
                     if opts.die_on_assign == Some(assignments) {
                         // Simulates a machine loss mid-shard: the lease is
@@ -341,7 +349,8 @@ fn recv(reader: &mut BufReader<TcpStream>) -> Result<Message, WireError> {
 
 /// Sends `Heartbeat` every `interval` until dropped.
 struct Heartbeater {
-    stop: Arc<AtomicBool>,
+    /// The stop flag, signalled on drop so the thread wakes at once.
+    stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -352,24 +361,28 @@ impl Heartbeater {
         shard: u64,
         interval: Duration,
     ) -> Heartbeater {
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let handle = {
             let stop = Arc::clone(&stop);
             let writer = Arc::clone(writer);
             std::thread::spawn(move || {
-                let tick = Duration::from_millis(20);
-                let mut since_beat = Duration::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    since_beat += tick;
-                    if since_beat >= interval {
-                        since_beat = Duration::ZERO;
-                        // A send failure here means the coordinator is
-                        // gone; the main thread will see it on its next
-                        // send/recv, so just stop beating.
-                        if send(&writer, &Message::Heartbeat { worker, shard }).is_err() {
-                            return;
-                        }
+                // A bool is valid at every step, so a poisoned flag is
+                // recovered rather than propagated.
+                let (flag, signal) = &*stop;
+                loop {
+                    let stopped = flag.lock().unwrap_or_else(|p| p.into_inner());
+                    let (stopped, _) = signal
+                        .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+                        .unwrap_or_else(|p| p.into_inner());
+                    if *stopped {
+                        return;
+                    }
+                    drop(stopped);
+                    // A send failure here means the coordinator is gone;
+                    // the main thread will see it on its next send/recv,
+                    // so just stop beating.
+                    if send(&writer, &Message::Heartbeat { worker, shard }).is_err() {
+                        return;
                     }
                 }
             })
@@ -383,7 +396,9 @@ impl Heartbeater {
 
 impl Drop for Heartbeater {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let (flag, signal) = &*self.stop;
+        *flag.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        signal.notify_one();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -443,5 +458,28 @@ mod tests {
         drop(writer);
         let received = sink.join().expect("sink thread");
         assert!(received > 0, "the frame must have reached the socket");
+    }
+
+    /// Dropping a heartbeater wakes and joins its thread at once instead
+    /// of waiting out a polling tick, so a shard's end is not delayed.
+    #[test]
+    fn heartbeater_stops_without_waiting_out_a_tick() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let writer = Arc::new(Mutex::new(stream));
+        let mut stopping = Duration::ZERO;
+        for shard in 0..50 {
+            let beat = Heartbeater::start(&writer, 1, shard, Duration::from_secs(10));
+            // The shard's compute: long enough for the thread to be
+            // waiting for its first beat when the shard ends.
+            std::thread::sleep(Duration::from_millis(2));
+            let dropped = std::time::Instant::now();
+            drop(beat);
+            stopping += dropped.elapsed();
+        }
+        assert!(
+            stopping < Duration::from_millis(250),
+            "50 heartbeater drops took {stopping:?}"
+        );
     }
 }

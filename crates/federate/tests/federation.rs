@@ -249,3 +249,142 @@ fn heartbeat_keeps_a_slow_lease_alive() {
     assert_eq!(report.duplicate_results, 0);
     assert_eq!(merge_payloads(&payloads), serial_reference(n_items, 2));
 }
+
+/// A raw protocol client past its handshake: reader, writer, worker id.
+struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    worker: u64,
+}
+
+impl Client {
+    fn join(addr: &str) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let hello = Message::Hello {
+            protocol: PROTOCOL_VERSION,
+            prior: 0,
+        };
+        write_frame(&mut writer, &hello.encode()).expect("send Hello");
+        match Message::decode(&read_frame(&mut reader).expect("frame")).expect("decode") {
+            Message::Welcome { worker, .. } => Client {
+                reader,
+                writer,
+                worker,
+            },
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+    }
+
+    fn send(&mut self, message: &Message) {
+        write_frame(&mut self.writer, &message.encode()).expect("send");
+    }
+
+    fn recv(&mut self) -> Message {
+        Message::decode(&read_frame(&mut self.reader).expect("frame")).expect("decode")
+    }
+
+    /// Ready, expecting an assignment.
+    fn claim(&mut self) -> (u64, Range<u64>) {
+        self.send(&Message::Ready {
+            worker: self.worker,
+        });
+        match self.recv() {
+            Message::Assign { shard, start, end } => (shard, start..end),
+            other => panic!("expected Assign, got {other:?}"),
+        }
+    }
+
+    /// Ready, then check that no reply arrives within 100 ms: the
+    /// coordinator is holding it rather than answering `Wait`.
+    fn ready_and_see_it_held(&mut self) {
+        self.send(&Message::Ready {
+            worker: self.worker,
+        });
+        let socket = self.reader.get_ref();
+        socket
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .expect("read timeout");
+        let mut byte = [0u8; 1];
+        assert!(
+            socket.peek(&mut byte).is_err(),
+            "the Ready must be held, not answered at once"
+        );
+        socket.set_read_timeout(None).expect("clear read timeout");
+    }
+}
+
+/// A config whose hold is far longer than any assertion below, so only
+/// a state change can release a held reply in time.
+fn long_hold_config(n_items: u64, shards: u64) -> CoordinatorConfig {
+    let mut cfg = CoordinatorConfig::new(toy_job(n_items, shards));
+    cfg.poll_ms = 10_000;
+    cfg
+}
+
+/// A `Ready` that arrives while the last shard is leased elsewhere is
+/// held and answered `Finished` as soon as that shard's result merges.
+#[test]
+fn held_ready_is_finished_when_the_last_shard_merges() {
+    let (addr, handle) = spawn_coordinator(long_hold_config(10, 1));
+    let mut lessee = Client::join(&addr);
+    let (shard, range) = lessee.claim();
+    let mut idle = Client::join(&addr);
+    idle.ready_and_see_it_held();
+
+    let merged_at = std::time::Instant::now();
+    lessee.send(&Message::Result {
+        worker: lessee.worker,
+        shard,
+        payload: shard_payload(range),
+    });
+    assert_eq!(idle.recv(), Message::Finished);
+    let lag = merged_at.elapsed();
+    assert!(
+        lag < Duration::from_millis(200),
+        "held Ready answered {lag:?} after the last result"
+    );
+    assert_eq!(lessee.recv(), Message::Finished);
+    let (payloads, _) = handle.join().expect("coordinator thread");
+    assert_eq!(merge_payloads(&payloads), serial_reference(10, 1));
+}
+
+/// A held `Ready` is answered with the shard its lessee just dropped,
+/// without waiting out the hold.
+#[test]
+fn held_ready_is_assigned_a_shard_its_lessee_dropped() {
+    let (addr, handle) = spawn_coordinator(long_hold_config(10, 1));
+    let mut lessee = Client::join(&addr);
+    let (shard, _) = lessee.claim();
+    let mut idle = Client::join(&addr);
+    idle.ready_and_see_it_held();
+
+    let dropped_at = std::time::Instant::now();
+    drop(lessee);
+    let range = match idle.recv() {
+        Message::Assign {
+            shard: reassigned,
+            start,
+            end,
+        } => {
+            assert_eq!(reassigned, shard, "the dropped shard must be reassigned");
+            start..end
+        }
+        other => panic!("expected Assign, got {other:?}"),
+    };
+    let lag = dropped_at.elapsed();
+    assert!(
+        lag < Duration::from_millis(200),
+        "held Ready assigned {lag:?} after the lessee left"
+    );
+    idle.send(&Message::Result {
+        worker: idle.worker,
+        shard,
+        payload: shard_payload(range),
+    });
+    assert_eq!(idle.recv(), Message::Finished);
+    let (payloads, report) = handle.join().expect("coordinator thread");
+    assert_eq!(report.reassignments, 1, "{:?}", report.reasons);
+    assert_eq!(merge_payloads(&payloads), serial_reference(10, 1));
+}

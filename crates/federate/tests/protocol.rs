@@ -5,7 +5,10 @@
 //! declared length, mid-handshake disconnect — and requires a *counted*
 //! rejection (never a panic, never an attacker-sized allocation), after
 //! which a well-behaved worker still completes the job and the merged
-//! payloads are byte-identical to the serial reference.
+//! payloads are byte-identical to the serial reference. The last cases
+//! turn it around: a scripted coordinator forges an `Assign` outside the
+//! welcomed job, and the worker must refuse it with a reason instead of
+//! computing it.
 
 use bb_engine::{fnv1a64, ExactMoments, Mergeable, ShardPlan, Snapshot};
 use bb_federate::{
@@ -470,4 +473,83 @@ fn duplicate_result_after_reassignment_is_benign() {
         .expect("payloads")
         .to_snapshot_string();
     assert_eq!(merged, serial_reference(n_items, 4));
+}
+
+// ------------------------------------------- forged directives at a worker
+
+/// A scripted coordinator that welcomes one worker to `toy_job(24, 3)`
+/// and answers its first `Ready` with `forged`. Returns what
+/// `run_worker` made of it; the compute hook must never run.
+fn worker_against_forged_assign(forged: Message) -> Result<bb_federate::WorkerReport, String> {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let coordinator = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut recv =
+            || Message::decode(&read_frame(&mut reader).expect("frame")).expect("decode");
+        assert!(matches!(recv(), Message::Hello { .. }));
+        let welcome = Message::Welcome {
+            worker: 1,
+            job: toy_job(24, 3),
+        };
+        write_frame(&mut writer, &welcome.encode()).expect("welcome");
+        assert!(matches!(recv(), Message::Ready { .. }));
+        write_frame(&mut writer, &forged.encode()).expect("forged assign");
+    });
+    let opts = WorkerOptions {
+        max_reconnects: 0,
+        ..WorkerOptions::default()
+    };
+    let result = run_worker(&addr, &opts, |_job| {
+        Ok(|shard: u64, range: Range<u64>| -> String {
+            panic!("computed forged shard {shard} over {range:?}")
+        })
+    });
+    coordinator.join().expect("scripted coordinator");
+    result
+}
+
+fn assert_refused(forged: Message, range: &str) {
+    match worker_against_forged_assign(forged) {
+        Err(e) => assert!(e.contains(range), "error must name {range}: {e}"),
+        Ok(report) => panic!("forged assignment accepted: {report:?}"),
+    }
+}
+
+#[test]
+fn worker_refuses_an_assign_past_the_last_user() {
+    assert_refused(
+        Message::Assign {
+            shard: 2,
+            start: 16,
+            end: 25,
+        },
+        "16..25",
+    );
+}
+
+#[test]
+fn worker_refuses_an_assign_with_start_after_end() {
+    assert_refused(
+        Message::Assign {
+            shard: 1,
+            start: 12,
+            end: 8,
+        },
+        "12..8",
+    );
+}
+
+#[test]
+fn worker_refuses_an_assign_for_a_shard_outside_the_job() {
+    assert_refused(
+        Message::Assign {
+            shard: 3,
+            start: 0,
+            end: 8,
+        },
+        "shard 3",
+    );
 }

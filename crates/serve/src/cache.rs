@@ -100,7 +100,10 @@ impl ResultCache {
         }
     }
 
-    /// Read and digest-verify every file the manifest lists.
+    /// Read and digest-verify every file the manifest lists. Names must
+    /// be plain file names inside the entry, and the manifest must list
+    /// at least one: a tampered manifest cannot reach outside the cache
+    /// or pass as a hit with no files.
     fn verify(&self, entry: &Path, manifest: &str) -> Result<Vec<(String, String)>, String> {
         let mut files = Vec::new();
         for line in manifest.lines() {
@@ -109,12 +112,22 @@ impl ResultCache {
                 .ok_or_else(|| format!("malformed manifest line {line:?}"))?;
             let expected = u64::from_str_radix(digest, 16)
                 .map_err(|_| format!("malformed digest {digest:?}"))?;
+            if name.is_empty()
+                || name.contains(['/', '\\'])
+                || name.contains("..")
+                || Path::new(name).is_absolute()
+            {
+                return Err(format!("manifest names a file outside the entry: {name:?}"));
+            }
             let content = fs::read_to_string(entry.join(name))
                 .map_err(|e| format!("unreadable artifact {name}: {e}"))?;
             if fnv1a64(content.as_bytes()) != expected {
                 return Err(format!("digest mismatch for {name}"));
             }
             files.push((name.to_string(), content));
+        }
+        if files.is_empty() {
+            return Err("manifest lists no files".into());
         }
         Ok(files)
     }
@@ -157,6 +170,37 @@ mod tests {
         fs::write(cache.entry_dir(key).join("fig1a.txt"), "tampered").unwrap();
         assert_eq!(cache.lookup(key), Lookup::Rejected);
         assert_eq!(cache.lookup(key), Lookup::Miss, "no marker left to reject");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A manifest naming a file outside its entry, or naming none, is
+    /// rejected and its marker removed, even when the named file exists
+    /// and its digest matches.
+    #[test]
+    fn manifests_reaching_outside_the_entry_or_listing_nothing_are_rejected() {
+        let dir = std::env::temp_dir().join(format!("bb-serve-manifest-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(&dir);
+        let key = cache_key(&params(1), 4);
+        let files = vec![("metrics.json".to_string(), "{}".to_string())];
+        cache.store(key, &files).unwrap();
+        let outside = dir.join("outside.txt");
+        fs::write(&outside, "secret").unwrap();
+        let digest = format!("{:016x}", fnv1a64(b"secret"));
+        let tampered = [
+            format!("{digest} ../outside.txt\n"),
+            format!("{digest} {}\n", outside.display()),
+            format!("{digest} sub/metrics.json\n"),
+            format!("{digest} ..\n"),
+            format!("{digest} \n"),
+            String::new(),
+        ];
+        let marker = cache.entry_dir(key).join(RESULT_MANIFEST);
+        for manifest in tampered {
+            fs::write(&marker, &manifest).unwrap();
+            assert_eq!(cache.lookup(key), Lookup::Rejected, "manifest {manifest:?}");
+            assert!(!marker.exists(), "marker left behind for {manifest:?}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }
